@@ -27,7 +27,6 @@ from .net import (
     ic_grad,
     ic_loss,
     load_net,
-    net_forward,
     save_net,
     train,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "ic_loss",
     "iter_traces",
     "load_net",
-    "net_forward",
     "posterior_summary",
     "proposal_from_params",
     "proposal_param_dim",

@@ -87,6 +87,17 @@ class Normal:
         return f"{type(self).__name__}{self.params}"
 
 
+def normal_log_probs(x, mu, sigma):
+    """Normal(mu[i], sigma[i]).log_prob(x[i]) for float arrays, bit for bit.
+
+    log(sigma) goes through math.log per element because np.log can differ
+    from it in the last bit; the rest is the same IEEE arithmetic in numpy.
+    """
+    z = (x - mu) / sigma
+    log_sigma = np.fromiter(map(math.log, sigma.tolist()), float, len(sigma))
+    return -0.5 * z * z - log_sigma - 0.5 * _LOG_2PI
+
+
 class Uniform:
     family = "Uniform"
     __slots__ = ("lo", "hi")

@@ -78,6 +78,19 @@ class AllWeightsZero(SimpplError):
         self.first_zero_address = first_zero_address
 
 
+class NonFiniteWeight(SimpplError):
+    """A particle's log-weight is +inf or NaN, so weights cannot be normalized."""
+
+    def __init__(self, particle, address):
+        where = address.rendered if address is not None else "<unknown>"
+        super().__init__(
+            f"particle {particle} has a non-finite log-weight; "
+            f"first non-finite log_p - log_q at {where}"
+        )
+        self.particle = particle
+        self.address = address
+
+
 class MissingPredict(SimpplError):
     """A trace lacks the requested predict name."""
 

@@ -181,10 +181,6 @@ class ProposalNetwork:
         return self.raw_from_encoding(self.encode_obs(obs_vec), key, prev_value)
 
 
-def net_forward(net, observation, address, prev_value):
-    return net.forward(observation, address, prev_value)
-
-
 def _trace_obs_vector(trace):
     values = [o.value for o in trace.observes]
     if any(v is None for v in values):

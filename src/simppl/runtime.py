@@ -2,7 +2,9 @@
 
 A model is a callable taking an ExecutionContext and speaking through three
 statements: ctx.sample draws a latent, ctx.observe conditions on data,
-ctx.predict exports a named output. The context runs in one of three modes:
+ctx.predict exports a named output; ctx.observe_normal_many is observe for
+a vector of independent Normal observations. The context runs in one of
+three modes:
 
   prior   unconditioned run; observe statements synthesize their own values
   record  like prior, but rejection scopes roll back discarded iterations so
@@ -22,11 +24,14 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .distributions import normal_log_probs
 from .errors import (
     ConfigError,
+    DimensionMismatch,
     DuplicatePredictName,
     ModelExecutionError,
     NestedScopeReuse,
+    ParameterError,
     ScopeError,
     ScopeUnderflow,
     SimpplError,
@@ -158,6 +163,58 @@ class ExecutionContext:
         self.trace.observes.append(ObserveEntry(addr, dist.log_prob(value), value))
         return value
 
+    def observe_normal_many(self, site_ids, mu, sigma, values=None):
+        """Batched observe of independent Normal(mu[i], sigma[i]) at site_ids[i].
+
+        Same trace, weight and obs_rng state as calling
+        observe(site_ids[i], Normal(mu[i], sigma[i]), values[i]) in order,
+        with one draw for all sites when values is None (prior/record mode).
+        Returns the list of observed values.
+        """
+        site_ids = tuple(site_ids)
+        n = len(site_ids)
+        mu = np.asarray(mu, dtype=float)
+        sigma = np.asarray(sigma, dtype=float)
+        sizes = [len(a) if a.ndim == 1 else 0 for a in (mu, sigma)]
+        if values is not None:
+            sizes.append(len(values))
+        if any(k != n for k in sizes):
+            # the first site left without a parameter or value, else the last
+            at = self._site_name(site_ids[min(min(sizes), n - 1)]) if n else "no sites"
+            raise DimensionMismatch(
+                f"observe_normal_many at {at}: {n} site ids, "
+                f"lengths (mu, sigma{', values' if values is not None else ''}) = {sizes}"
+            )
+        bad = ~(np.isfinite(mu) & np.isfinite(sigma) & (sigma > 0))
+        if bad.any():
+            i = int(bad.argmax())
+            raise ParameterError(
+                f"observe at {self._site_name(site_ids[i])}: need finite mu and positive "
+                f"finite sigma, got mu={float(mu[i])!r}, sigma={float(sigma[i])!r}"
+            )
+        if not n:
+            return []
+        addrs = self.counters.extend_many(self._path, site_ids, "Normal")
+        self._last_address = addrs[-1]
+        if values is None:
+            if self.mode is Mode.GUIDED:
+                raise ConfigError(
+                    f"observe at {addrs[0].rendered} has no value; "
+                    "guided mode requires the observation to supply one"
+                )
+            x = self.obs_rng.normal(mu, sigma)
+            values = x.tolist()
+        else:
+            # keep the caller's float objects, as float(v) does for a float
+            values = [v if type(v) is float else float(v) for v in values]
+            x = np.array(values)
+        log_liks = normal_log_probs(x, mu, sigma).tolist()
+        self.trace.observes.extend(map(ObserveEntry, addrs, log_liks, values))
+        return values
+
+    def _site_name(self, site_id):
+        return "/".join(self._path + (site_id,))
+
     def observed(self, key):
         """Component of the supplied observation, or None when unconditioned."""
         if self.observation is None:
@@ -207,8 +264,10 @@ class ExecutionContext:
     @contextmanager
     def rejection_scope(self, scope_id):
         self.scope_begin(scope_id)
-        yield
-        self.scope_end()
+        try:
+            yield
+        finally:
+            self.scope_end()
 
 
 class FixedProposal:

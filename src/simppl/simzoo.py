@@ -166,7 +166,7 @@ def _cell_site_ids(grid):
     ids = _SITE_ID_CACHE.get(grid)
     if ids is None:
         d, x, y = grid
-        ids = [f"cal_{i}_{j}_{k}" for i in range(d) for j in range(x) for k in range(y)]
+        ids = tuple(f"cal_{i}_{j}_{k}" for i in range(d) for j in range(x) for k in range(y))
         _SITE_ID_CACHE[grid] = ids
     return ids
 
@@ -199,12 +199,7 @@ def tau_decay_toy(ctx, cfg=DEFAULT_TAU_CONFIG):
 
     expected = deposit_image(cfg, channel, pmag, theta, phi).ravel()
     sigmas = cfg.noise_sigma * np.maximum(expected, ENERGY_FLOOR)
-    cells = ctx.observed("cells")
-    expected = expected.tolist()
-    sigmas = sigmas.tolist()
-    for idx, site in enumerate(_cell_site_ids(cfg.grid)):
-        value = None if cells is None else float(cells[idx])
-        ctx.observe(site, Normal(expected[idx], sigmas[idx]), value)
+    ctx.observe_normal_many(_cell_site_ids(cfg.grid), expected, sigmas, ctx.observed("cells"))
 
     sin_t = math.sin(theta)
     ctx.predict("channel", int(channel))

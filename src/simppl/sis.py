@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllWeightsZero, MissingPredict, SimpplError
+from .errors import AllWeightsZero, MissingPredict, NonFiniteWeight, SimpplError
 from .runtime import Mode, run_model
 
 
@@ -30,8 +30,15 @@ class ParticleSet:
     normalized: bool = False
 
     def normalize(self):
-        """Exponentiate shifted log-weights and normalize to sum 1."""
+        """Exponentiate shifted log-weights and normalize to sum 1.
+
+        -inf log-weights are zero weights; +inf or NaN raise NonFiniteWeight.
+        """
         lw = np.asarray(self.log_weights, dtype=float)
+        bad = np.isnan(lw) | (lw == math.inf)
+        if bad.any():
+            i = int(bad.argmax())
+            raise NonFiniteWeight(i, _first_non_finite_term(self.traces, i))
         finite = lw[np.isfinite(lw)]
         if finite.size == 0:
             raise AllWeightsZero(_first_zero_observe(self.traces))
@@ -40,6 +47,20 @@ class ParticleSet:
         self.weights = w
         self.normalized = True
         return self
+
+
+def _first_non_finite_term(traces, index):
+    """Address of the first weight term of particle `index` that is not finite."""
+    if index >= len(traces):
+        return None
+    trace = traces[index]
+    for entry in trace.entries:
+        if not math.isfinite(entry.log_p - entry.log_q):
+            return entry.address
+    for obs in trace.observes:
+        if not math.isfinite(obs.log_likelihood):
+            return obs.address
+    return None
 
 
 def _first_zero_observe(traces):

@@ -75,7 +75,8 @@ class AddressTable:
 
     Each slot (full path including the site id) is bound to a single family
     for the whole execution; revisiting it with another family is an
-    instrumentation bug and raises AddressFamilyMismatch.
+    instrumentation bug and raises AddressFamilyMismatch. A slot's state is
+    an immutable (family, count) tuple, so snapshots are plain dict copies.
     """
 
     __slots__ = ("_slots",)
@@ -84,29 +85,65 @@ class AddressTable:
         self._slots = {}
 
     def extend(self, parent_path, site_id, family_tag):
-        if not site_id or not _SITE_FORBIDDEN.isdisjoint(site_id):
-            raise ParameterError(
-                f"invalid site id {site_id!r}: must be non-empty without '/', ':', '#'"
-            )
+        _check_site_id(site_id)
         path = parent_path + (site_id,)
         slot = self._slots.get(path)
         if slot is None:
-            self._slots[path] = [family_tag, 1]
+            self._slots[path] = (family_tag, 1)
             instance = 0
         else:
-            if slot[0] != family_tag:
+            family, instance = slot
+            if family != family_tag:
                 raise AddressFamilyMismatch(
-                    f"site {'/'.join(path)} was {slot[0]}, now sampled as {family_tag}"
+                    f"site {'/'.join(path)} was {family}, now sampled as {family_tag}"
                 )
-            instance = slot[1]
-            slot[1] = instance + 1
+            self._slots[path] = (family, instance + 1)
         return intern_address(path, family_tag, instance)
 
+    def extend_many(self, parent_path, site_ids, family_tag):
+        """Addresses of `extend` applied to each of a tuple of site ids in order.
+
+        When none of the slots is taken yet, every address is instance 0 and
+        the table is filled in one update from a per-(parent path, site ids,
+        family) cache; otherwise each site goes through `extend`.
+        """
+        key = (parent_path, site_ids, family_tag)
+        cached = _BULK.get(key)
+        if cached is None:
+            cached = _BULK.setdefault(key, _bulk_entry(parent_path, site_ids, family_tag))
+        if cached and self._slots.keys().isdisjoint(cached[0].keys()):
+            self._slots.update(cached[0])
+            return cached[1]
+        return tuple(self.extend(parent_path, s, family_tag) for s in site_ids)
+
     def snapshot(self):
-        return {k: list(v) for k, v in self._slots.items()}
+        return dict(self._slots)
 
     def restore(self, snap):
-        self._slots = {k: list(v) for k, v in snap.items()}
+        self._slots = dict(snap)
+
+
+# (parent path, site ids, family) -> ({path: (family, 1)}, instance-0
+# addresses), or () when a site repeats; shared by every AddressTable like
+# the intern table above.
+_BULK: dict = {}
+
+
+def _check_site_id(site_id):
+    if not site_id or not _SITE_FORBIDDEN.isdisjoint(site_id):
+        raise ParameterError(
+            f"invalid site id {site_id!r}: must be non-empty without '/', ':', '#'"
+        )
+
+
+def _bulk_entry(parent_path, site_ids, family_tag):
+    for site_id in site_ids:
+        _check_site_id(site_id)
+    paths = [parent_path + (s,) for s in site_ids]
+    if len(set(paths)) != len(paths):
+        return ()  # a repeated site needs extend's instance counting
+    fresh = dict.fromkeys(paths, (family_tag, 1))
+    return fresh, tuple(intern_address(p, family_tag, 0) for p in paths)
 
 
 def address_extend(parent_path, site_id, family_tag, counters):
@@ -175,7 +212,7 @@ def trace_log_weight(trace):
     """
     terms = [o.log_likelihood for o in trace.observes]
     terms.extend(e.log_p - e.log_q for e in trace.entries)
-    if any(t == -math.inf for t in terms):
+    if -math.inf in terms:
         return -math.inf
     return math.fsum(terms)
 

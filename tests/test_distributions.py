@@ -14,6 +14,7 @@ from simppl.distributions import (
     ScaledBeta,
     Uniform,
     from_params,
+    normal_log_probs,
     proposal_from_params,
     proposal_nll_grad,
     proposal_param_dim,
@@ -182,6 +183,17 @@ def test_frozen_density_values():
     assert Exponential(2.0).log_prob(0.5) == pytest.approx(math.log(2.0) - 1.0, abs=1e-12)
     assert Poisson(3.0).log_prob(2) == pytest.approx(2 * math.log(3.0) - 3.0 - math.log(2.0), abs=1e-12)
     assert Categorical((0.25, 0.75)).log_prob(1) == pytest.approx(math.log(0.75), abs=1e-15)
+
+
+def test_normal_log_probs_match_scalar_log_prob_bit_for_bit():
+    # scales spread over 14 e-folds: np.log differs from math.log in the last
+    # bit for a few of them, which the vectorized form must not inherit
+    rng = np.random.default_rng(5)
+    sigma = np.exp(rng.uniform(-7.0, 7.0, 20_000))
+    mu = rng.normal(0.0, 10.0, sigma.size)
+    x = rng.normal(mu, sigma)
+    want = [Normal(m, s).log_prob(v) for m, s, v in zip(mu.tolist(), sigma.tolist(), x.tolist())]
+    assert normal_log_probs(x, mu, sigma).tolist() == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,24 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simppl import simzoo
 from simppl.distributions import Normal, ScaledBeta, Uniform
 from simppl.errors import (
     AddressFamilyMismatch,
     ConfigError,
+    DimensionMismatch,
     DuplicatePredictName,
     ModelExecutionError,
     NestedScopeReuse,
+    ParameterError,
     ScopeError,
     ScopeUnderflow,
 )
 from simppl.runtime import ExecutionContext, FixedProposal, Mode, run_model
-from simppl.trace import trace_to_line
+from simppl.trace import trace_log_weight, trace_to_line
 
 REJECTION = simzoo.get_model("rejection_demo").run
 GAUSSIAN = simzoo.get_model("gaussian_unknown_mean").run
@@ -212,6 +216,16 @@ def test_scope_misuse_raises():
         run_model(left_open, Mode.PRIOR, 1)
 
 
+def test_rejection_scope_closes_when_body_raises():
+    ctx = ExecutionContext(Mode.PRIOR, 1)
+    with pytest.raises(ValueError, match="inside the scope"):
+        with ctx.rejection_scope("s"):
+            ctx.sample("u", Uniform(0.0, 1.0))
+            raise ValueError("inside the scope")
+    assert ctx._scopes == []
+    assert ctx._path == ()
+
+
 def test_scope_id_reusable_sequentially():
     def model(ctx):
         for _ in range(2):
@@ -278,8 +292,13 @@ def test_family_mismatch_detected_at_reused_slot():
         ctx.sample("x", Normal(0, 1))
         ctx.sample("x", Uniform(0, 1))
 
-    with pytest.raises(AddressFamilyMismatch):
-        run_model(model, Mode.PRIOR, 1)
+    def batched(ctx):
+        ctx.sample("x", Uniform(0, 1))
+        ctx.observe_normal_many(["w", "x"], [0.0, 0.0], [1.0, 1.0])
+
+    for m in (model, batched):
+        with pytest.raises(AddressFamilyMismatch):
+            run_model(m, Mode.PRIOR, 1)
 
 
 def test_model_bug_wrapped_with_last_address():
@@ -315,3 +334,127 @@ def test_fixed_proposal_callable_values():
 def test_finalized_weight_matches_arithmetic_on_gaussian():
     tr = run_model(GAUSSIAN, Mode.GUIDED, 4, observation={"y": 1.0})
     assert tr.log_weight == pytest.approx(tr.observes[0].log_likelihood)
+
+
+# ---------------------------------------------------------------------------
+# batched Normal observe
+
+SITES = ["a", "b", "c", "d", "e"]
+finite = st.floats(-1e3, 1e3)
+
+
+def _observe_block(batched, pre, sites, mu, sigma, values):
+    """Body observing `pre` with scalar observes, then `sites` either in one
+    batched statement or in the equivalent loop of scalar observes."""
+
+    def body(ctx):
+        for s in pre:
+            ctx.observe(s, Normal(0.5, 2.0), None if values is None else 1.25)
+        if batched:
+            ctx.observe_normal_many(sites, np.array(mu), np.array(sigma), values)
+        else:
+            for i, s in enumerate(sites):
+                v = None if values is None else float(values[i])
+                ctx.observe(s, Normal(mu[i], sigma[i]), v)
+
+    return body
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(["prior", "record", "guided"]),
+    seed=st.integers(0, 2**32 - 1),
+    sites=st.lists(st.sampled_from(SITES), max_size=6),
+    pre=st.lists(st.sampled_from(SITES), max_size=3),
+    retries=st.none() | st.integers(0, 2),
+    data=st.data(),
+)
+def test_observe_normal_many_matches_scalar_loop(mode, seed, sites, pre, retries, data):
+    # pre-occupied or repeated sites take extend's fallback; a record-mode
+    # scope with retries rolls the batched slots back before the next pass
+    n = len(sites)
+    mu = data.draw(st.lists(finite, min_size=n, max_size=n))
+    sigma = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    values = None
+    if mode == "guided":
+        values = data.draw(st.lists(finite | st.integers(-5, 5), min_size=n, max_size=n))
+
+    def run(batched):
+        ctx = ExecutionContext(mode, seed, observation={} if mode == "guided" else None)
+        body = _observe_block(batched, pre, sites, mu, sigma, values)
+        if retries is None:
+            body(ctx)
+        else:
+            with ctx.rejection_scope("scope"):
+                for _ in range(retries):
+                    body(ctx)
+                    ctx.scope_retry()
+                body(ctx)
+        return ctx
+
+    want, got = run(False), run(True)
+    rows = [[(o.address.rendered, _bits(o.log_likelihood), type(o.value), _bits(o.value))
+             for o in ctx.trace.observes] for ctx in (want, got)]
+    assert rows[1] == rows[0]
+    assert _bits(trace_log_weight(got.trace)) == _bits(trace_log_weight(want.trace))
+    assert got.counters.snapshot() == want.counters.snapshot()
+    assert got.obs_rng.random() == want.obs_rng.random()
+    if values is not None:
+        # guided entries hold the observation's own float objects
+        batch = got.trace.observes[-n:] if n else []
+        for o, v in zip(batch, values):
+            assert type(v) is not float or o.value is v
+
+
+BAD_PARAMS = {
+    "mu nan": ("mu", math.nan),
+    "mu inf": ("mu", -math.inf),
+    "sigma zero": ("sigma", 0.0),
+    "sigma negative": ("sigma", -1.0),
+    "sigma inf": ("sigma", math.inf),
+    "sigma nan": ("sigma", math.nan),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    data=st.data(),
+    faults=st.lists(st.sampled_from(sorted(BAD_PARAMS)), min_size=1, max_size=3),
+)
+def test_observe_normal_many_names_first_bad_parameter(n, data, faults):
+    sites = [f"s{i}" for i in range(n)]
+    params = {"mu": [0.0] * n, "sigma": [1.0] * n}
+    at = data.draw(st.lists(st.integers(0, n - 1), min_size=len(faults), max_size=len(faults)))
+    for fault, i in zip(faults, at):
+        name, value = BAD_PARAMS[fault]
+        params[name][i] = value
+    ctx = ExecutionContext(Mode.PRIOR, 1)
+    with pytest.raises(ParameterError, match=f" at s{min(at)}:"):
+        ctx.observe_normal_many(sites, params["mu"], params["sigma"])
+    # the loop of scalar observes fails at the same site
+    with pytest.raises(ParameterError):
+        Normal(params["mu"][min(at)], params["sigma"][min(at)])
+
+
+@pytest.mark.parametrize(
+    "mu_len, sigma_len, values_len, named",
+    [(2, 3, None, "s2"), (3, 1, None, "s1"), (3, 3, 0, "s0"), (3, 3, 4, "s2"), (4, 3, 3, "s2")],
+)
+def test_observe_normal_many_length_mismatch(mu_len, sigma_len, values_len, named):
+    ctx = ExecutionContext(Mode.PRIOR, 1)
+    values = None if values_len is None else [0.0] * values_len
+    with pytest.raises(DimensionMismatch, match=f" at {named}:"):
+        ctx.observe_normal_many(["s0", "s1", "s2"], [0.0] * mu_len, [1.0] * sigma_len, values)
+    assert ctx.trace.observes == []
+
+
+def test_observe_normal_many_guided_requires_values():
+    ctx = ExecutionContext(Mode.GUIDED, 1, observation={})
+    with pytest.raises(ConfigError, match="obs/c0:Normal#0"):
+        with ctx.rejection_scope("obs"):
+            ctx.observe_normal_many(["c0", "c1"], [0.0, 1.0], [1.0, 1.0])

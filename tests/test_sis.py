@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from simppl import simzoo
-from simppl.distributions import Normal, Uniform
-from simppl.errors import AllWeightsZero, MissingPredict, SimpplError
-from simppl.runtime import Mode, run_model
+from simppl.distributions import Normal, ScaledBeta, Uniform
+from simppl.errors import AllWeightsZero, MissingPredict, NonFiniteWeight, SimpplError
+from simppl.runtime import FixedProposal, Mode, run_model
 from simppl.sis import (
     ParticleSet,
     effective_sample_size,
@@ -100,6 +100,34 @@ def test_minus_inf_particles_tolerated_when_any_survive():
     assert ps.weights.sum() == pytest.approx(1.0)
     dead = ps.weights[np.asarray(ps.log_weights) == -math.inf]
     assert (dead == 0.0).all()
+
+
+def test_boundary_draws_raise_non_finite_weight_naming_the_site():
+    # the proposal puts u exactly on the support boundary, where log q = -inf
+    proposal = FixedProposal({"disc/u:Uniform": ScaledBeta(1e-3, 1e-3, -1.0, 1.0)})
+    rejection = simzoo.get_model("rejection_demo").run
+    with pytest.raises(NonFiniteWeight) as err:
+        sis_infer(rejection, {"y": 0.5}, 200, proposal, master_seed=1)
+    assert err.value.address.head_key == "disc/u:Uniform"
+    assert "disc/u:Uniform#" in str(err.value)
+
+
+def test_mixed_finite_and_inf_log_weights_raise():
+    traces = [run_model(GAUSSIAN, Mode.GUIDED, i, observation={"y": 0.5}) for i in range(4)]
+    traces[2].entries[0].log_q = -math.inf
+    for t in traces:
+        t.finalize()
+    log_weights = [t.log_weight for t in traces]
+    assert math.isinf(log_weights[2]) and all(map(math.isfinite, log_weights[:2]))
+    with pytest.raises(NonFiniteWeight) as err:
+        ParticleSet(traces, np.asarray(log_weights)).normalize()
+    assert err.value.particle == 2
+    assert err.value.address.rendered == "mu:Normal#0"
+
+
+def test_nan_log_weight_raises_without_traces():
+    with pytest.raises(NonFiniteWeight, match="<unknown>"):
+        ParticleSet([], np.array([0.0, math.nan])).normalize()
 
 
 # ---------------------------------------------------------------------------
