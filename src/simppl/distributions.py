@@ -2,11 +2,11 @@
 
 Priors supported at sample statements: Normal, Uniform, Categorical,
 Exponential, Poisson. Each prior family has a fixed proposal family whose
-parameters an inference network emits as an unconstrained vector; the
-constraint map (identity for locations, softplus for scales/rates, softmax
-for simplex weights) lives here so network outputs and densities stay in one
-place. Proposal supports cover the matching prior supports, which keeps
-importance weights finite for prior-drawn values.
+parameters an inference network emits as an unconstrained vector. _PROPOSALS
+holds one row per prior family: the constraint map (identity for locations,
+softplus for scales/rates, softmax for simplex weights), the proposal, and
+-log q with its gradient over (n, dim) raw arrays. Proposals sample inside
+supports that cover the matching priors', which keeps importance weights finite.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import digamma
+from scipy.special import digamma, expit, gammaln
 
 from .errors import DimensionMismatch, ParameterError
 
@@ -28,17 +28,20 @@ def softplus(x):
     return v if v > 1e-12 else 1e-12
 
 
-def _sigmoid(x):
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def _constrain(cmap, raw):
+    """Constraint map on a raw row or on each row of a batch, by the same scalar maps."""
+    if not isinstance(cmap, tuple):
+        return cmap(raw)
+    if raw.ndim == 1:
+        return [v if f is None else f(v) for f, v in zip(cmap, raw.tolist())]
+    return np.column_stack([col if f is None else np.array(list(map(f, col.tolist())))
+                            for f, col in zip(cmap, raw.T)])
 
 
 def softmax(raw):
     v = np.asarray(raw, dtype=float)
-    v = np.exp(v - v.max())
-    v /= v.sum()
+    v = np.exp(v - v.max(axis=-1, keepdims=True))
+    v /= v.sum(axis=-1, keepdims=True)
     return v
 
 
@@ -248,7 +251,18 @@ class ScaledBeta:
         return (self.alpha, self.beta, self.lo, self.hi)
 
     def sample(self, rng):
-        return float(self.lo + (self.hi - self.lo) * rng.beta(self.alpha, self.beta))
+        width = self.hi - self.lo
+        x = self.lo + width * rng.beta(self.alpha, self.beta)
+        if 0.0 < (x - self.lo) / width < 1.0:
+            return float(x)
+        # on a bound for log_prob (beta gave 0 or 1, or rounding): bisect to the nearest inside
+        inside = self.lo + 0.5 * width
+        while (m := x + 0.5 * (inside - x)) not in (x, inside):
+            if 0.0 < (m - self.lo) / width < 1.0:
+                inside = m
+            else:
+                x = m
+        return inside
 
     def log_prob(self, value):
         width = self.hi - self.lo
@@ -285,7 +299,8 @@ class LogNormal:
         return (self.mu, self.sigma)
 
     def sample(self, rng):
-        return float(rng.lognormal(self.mu, self.sigma))
+        x = float(rng.lognormal(self.mu, self.sigma))
+        return x if 0.0 < x < math.inf else math.nextafter(x, 1.0)  # under/overflow
 
     def log_prob(self, value):
         if value <= 0:
@@ -314,16 +329,79 @@ def from_params(family, params):
     return cls(*params)
 
 
+# ---------------------------------------------------------------------------
+# proposal families: -log q and d(-log q)/d raw, row-wise over (n, dim) raw,
+# constrained parameters, values and prior parameters; +inf off the support
+
+
+def _normal_nll_grad(raw, q, x, prior_params):
+    d, sigma = x - q[:, 0], q[:, 1]
+    d_sigma = 1.0 / sigma - (d * d) / (sigma * sigma * sigma)
+    grad = np.column_stack((-d / (sigma * sigma), d_sigma * expit(raw[:, 1])))
+    return 0.5 * (d / sigma) * (d / sigma) + np.log(sigma) + 0.5 * _LOG_2PI, grad
+
+
+def _lognormal_nll_grad(raw, q, x, prior_params):
+    nll, grad = _normal_nll_grad(raw, q, np.log(x), prior_params)  # Normal in log x
+    return np.where(x > 0.0, nll + np.log(x), np.inf), grad
+
+
+def _beta_nll_grad(raw, q, x, prior_params):
+    (a, b), (lo, hi) = q.T, prior_params.T
+    z = (x - lo) / (hi - lo)
+    log_z, log_1mz, dig_ab = np.log(z), np.log1p(-z), digamma(a + b)
+    nll = (gammaln(a) + gammaln(b) - gammaln(a + b) + np.log(hi - lo)
+           - (a - 1.0) * log_z - (b - 1.0) * log_1mz)
+    grad = np.column_stack((digamma(a) - dig_ab - log_z, digamma(b) - dig_ab - log_1mz))
+    return np.where((z > 0.0) & (z < 1.0), nll, np.inf), grad * expit(raw)
+
+
+def _categorical_nll_grad(raw, q, x, prior_params):
+    ok = (x >= 0.0) & (x < q.shape[1]) & (x == np.floor(x))
+    at = (np.arange(len(x)), np.where(ok, x, 0.0).astype(np.intp))
+    grad = q.copy()
+    grad[at] -= 1.0
+    return np.where(ok, -np.log(q[at]), np.inf), grad
+
+
+def _poisson_nll_grad(raw, q, x, prior_params):
+    lam = q[:, 0]
+    ok = (x >= 0.0) & (x == np.floor(x))
+    nll = np.where(ok, lam + gammaln(x + 1.0) - x * np.log(lam), np.inf)
+    return nll, ((1.0 - x / lam) * expit(raw[:, 0]))[:, None]
+
+
+# prior family: (constraint map, softmax or a scalar map per column with None for
+# identity; proposal of prior p from a constrained row q; -log q with its gradient)
+_PROPOSALS = {
+    "Normal": ((None, softplus), lambda p, q: Normal(*q), _normal_nll_grad),
+    "Uniform": ((softplus, softplus), lambda p, q: ScaledBeta(*q, p.lo, p.hi), _beta_nll_grad),
+    "Categorical": (softmax, lambda p, q: Categorical(q), _categorical_nll_grad),
+    "Exponential": ((None, softplus), lambda p, q: LogNormal(*q), _lognormal_nll_grad),
+    "Poisson": ((softplus,), lambda p, q: Poisson(*q), _poisson_nll_grad),
+}
+
+
+def _proposal_family(family):
+    row = _PROPOSALS.get(family)
+    if row is None:
+        raise ParameterError(f"no proposal family for prior {family!r}")
+    return row
+
+
 def proposal_param_dim(prior):
     """Unconstrained parameter count of the proposal family for a prior."""
-    fam = prior.family
-    if fam == "Normal" or fam == "Uniform" or fam == "Exponential":
-        return 2
-    if fam == "Categorical":
-        return prior.k
-    if fam == "Poisson":
-        return 1
-    raise ParameterError(f"no proposal family for prior {fam!r}")
+    cmap = _proposal_family(prior.family)[0]
+    return len(cmap) if isinstance(cmap, tuple) else prior.k
+
+
+def _raw_row(prior, raw):
+    raw = np.asarray(raw, dtype=float)
+    expected = proposal_param_dim(prior)
+    if raw.shape != (expected,):
+        raise DimensionMismatch(f"{prior.family} proposal needs {expected} params, "
+                                f"got shape {raw.shape}")
+    return raw
 
 
 def proposal_from_params(prior, raw):
@@ -335,68 +413,20 @@ def proposal_from_params(prior, raw):
     Exponential -> LogNormal(raw0, softplus(raw1))
     Poisson -> Poisson(softplus(raw0))
     """
-    raw = np.asarray(raw, dtype=float)
-    expected = proposal_param_dim(prior)
-    if raw.shape != (expected,):
-        raise DimensionMismatch(
-            f"{prior.family} proposal needs {expected} params, got shape {raw.shape}"
-        )
-    fam = prior.family
-    if fam == "Normal":
-        return Normal(raw[0], softplus(raw[1]))
-    if fam == "Uniform":
-        return ScaledBeta(softplus(raw[0]), softplus(raw[1]), prior.lo, prior.hi)
-    if fam == "Categorical":
-        return Categorical(softmax(raw))
-    if fam == "Exponential":
-        return LogNormal(raw[0], softplus(raw[1]))
-    if fam == "Poisson":
-        return Poisson(softplus(raw[0]))
-    raise ParameterError(f"no proposal family for prior {fam!r}")
+    cmap, build, _ = _proposal_family(prior.family)
+    return build(prior, _constrain(cmap, _raw_row(prior, raw)))
+
+
+def proposal_nll_grads(family, raw, values, prior_params):
+    """(-log q(values), its gradient wrt raw) for (n, dim) raw, (n,) values and
+    (n, p) prior parameters of one family; overflow gives inf or nan silently."""
+    cmap, _, nll_grad = _proposal_family(family)
+    with np.errstate(all="ignore"):
+        return nll_grad(raw, _constrain(cmap, raw), values, prior_params)
 
 
 def proposal_nll_grad(prior, raw, value):
-    """Gradient of -log q(value) with respect to the unconstrained params.
-
-    Returns (nll, grad). The density itself comes from the same constraint
-    maps as proposal_from_params; the finite-difference tests cross-check the
-    two code paths against each other.
-    """
-    raw = np.asarray(raw, dtype=float)
-    q = proposal_from_params(prior, raw)
-    nll = -q.log_prob(value)
-    fam = prior.family
-    grad = np.zeros_like(raw)
-    if fam == "Normal":
-        mu, sigma = q.mu, q.sigma
-        d = value - mu
-        grad[0] = -d / (sigma * sigma)
-        # spelled as products: float ** raises OverflowError where * gives inf,
-        # and a diverging training step must surface as a non-finite gradient
-        d_sigma = 1.0 / sigma - (d * d) / (sigma * sigma * sigma)
-        grad[1] = d_sigma * _sigmoid(raw[1])
-    elif fam == "Uniform":
-        a, b = q.alpha, q.beta
-        z = (value - q.lo) / (q.hi - q.lo)
-        dig_ab = digamma(a + b)
-        d_a = -math.log(z) + digamma(a) - dig_ab
-        d_b = -math.log1p(-z) + digamma(b) - dig_ab
-        grad[0] = d_a * _sigmoid(raw[0])
-        grad[1] = d_b * _sigmoid(raw[1])
-    elif fam == "Categorical":
-        p = softmax(raw)
-        grad[:] = p
-        grad[int(value)] -= 1.0
-    elif fam == "Exponential":
-        mu, sigma = q.mu, q.sigma
-        d = math.log(value) - mu
-        grad[0] = -d / (sigma * sigma)
-        d_sigma = 1.0 / sigma - (d * d) / (sigma * sigma * sigma)
-        grad[1] = d_sigma * _sigmoid(raw[1])
-    elif fam == "Poisson":
-        lam = q.rate
-        d_lam = 1.0 - value / lam
-        grad[0] = d_lam * _sigmoid(raw[0])
-    else:
-        raise ParameterError(f"no proposal family for prior {fam!r}")
-    return nll, grad
+    """(-log q(value), its gradient wrt raw): one row of proposal_nll_grads."""
+    nll, grad = proposal_nll_grads(prior.family, _raw_row(prior, raw)[None],
+                                   np.array([float(value)]), np.array([prior.params], dtype=float))
+    return float(nll[0]), grad[0]

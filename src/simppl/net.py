@@ -8,9 +8,13 @@ unconstrained proposal parameters consumed by proposal_from_params.
 
 Everything is plain float64 numpy with hand-written backpropagation; the
 analytic gradients are validated against central finite differences in the
-test suite. Training is plain SGD with global-norm gradient clipping on
-fresh Record-mode batches each step, so the simulator itself is the
-(infinite) training set. All randomness derives from the config master seed:
+test suite. A training step is one batched pass grouped by trace type: the
+encoder runs once on the stacked observations, the trunk once on the
+(entries, trunk inputs) matrix, each head once on the rows of its address,
+and the family NLL gradients come vectorised from the per-family proposal
+table in distributions. Training is plain SGD with global-norm gradient
+clipping on fresh Record-mode batches each step, so the simulator itself is
+the (infinite) training set. All randomness derives from the master seed:
 stream (0,) initializes parameters, (1, i) drives the standardization and
 head-discovery simulations, (2, step, i) the training batches.
 """
@@ -183,7 +187,7 @@ class ProposalNetwork:
 
 def _trace_obs_vector(trace):
     values = [o.value for o in trace.observes]
-    if any(v is None for v in values):
+    if None in values:
         raise SimpplError("trace carries no recorded observe values")
     return np.asarray(values, dtype=float)
 
@@ -191,60 +195,66 @@ def _trace_obs_vector(trace):
 def _loss_and_grad(net, batch, want_grad):
     """Mean over traces of the summed proposal NLL, with optional gradients.
 
-    The loss itself is computed through proposal_from_params/log_prob; the
-    family gradients come from proposal_nll_grad. Finite-difference tests
-    hold the two routes against each other.
+    One batched pass (see the module docstring); each distinct prior is built,
+    and so validated, once. Overflow shows only as a non-finite loss or gradient.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    arch = net.arch
-    a = net.params.arrays
-    grads = net.params.zeros_like().arrays if want_grad else None
-    total = 0.0
-    e_dim = arch.obs_embed_dim
-    a_dim = arch.addr_embed_dim
-    for trace in batch:
-        obs = net.standardization.apply(_trace_obs_vector(trace))
+    arch, a = net.arch, net.params.arrays
+    obs_rows = [_trace_obs_vector(trace) for trace in batch]
+    for obs in obs_rows:
         if obs.shape != (arch.obs_dim,):
-            raise DimensionMismatch(
-                f"trace observation has shape {obs.shape}, expected ({arch.obs_dim},)"
-            )
-        h_obs = np.tanh(a["obs_W"] @ obs + a["obs_b"])
-        d_h_obs = np.zeros_like(h_obs) if want_grad else None
+            raise DimensionMismatch(f"trace observation has shape {obs.shape}, "
+                                    f"expected ({arch.obs_dim},)")
+    rows, heads = [], {}  # rows: (trace, previous value, value, prior params, family)
+    for i, trace in enumerate(batch):
         prev = 0.0
         for entry in trace.entries:
-            key = entry.address.head_key
+            heads.setdefault(entry.address.head_key, []).append(len(rows))
+            rows.append((i, prev, entry.value, entry.params, entry.address.family_tag))
+            prev = float(entry.value)
+    trace_idx = [row[0] for row in rows]
+    e_dim, scale, total = arch.obs_embed_dim, 1.0 / len(batch), 0.0
+    grads = net.params.zeros_like().arrays
+    with np.errstate(all="ignore"):
+        obs = net.standardization.apply(np.stack(obs_rows))
+        h_obs = np.tanh(obs @ a["obs_W"].T + a["obs_b"])
+        x = np.empty((len(rows), arch.trunk_in_dim))
+        x[:, :e_dim] = h_obs[trace_idx]
+        x[:, -1] = _squash(np.array([row[1] for row in rows]))
+        for key, idx in heads.items():
             if key not in arch.heads:
                 raise UnknownHead(f"no head for address {key!r}")
-            prior = dists.from_params(entry.address.family_tag, entry.params)
-            x = np.concatenate([h_obs, a[f"embed::{key}"], [_squash(prev)]])
-            pre = a["trunk_W"] @ x + a["trunk_b"]
-            hidden = np.tanh(pre)
-            raw = a[f"head_W::{key}"] @ hidden + a[f"head_b::{key}"]
-            proposal = dists.proposal_from_params(prior, raw)
-            total -= proposal.log_prob(entry.value)
-            if want_grad:
-                _, d_raw = dists.proposal_nll_grad(prior, raw, entry.value)
-                grads[f"head_W::{key}"] += np.outer(d_raw, hidden)
-                grads[f"head_b::{key}"] += d_raw
-                d_hidden = a[f"head_W::{key}"].T @ d_raw
-                d_pre = d_hidden * (1.0 - hidden * hidden)
-                grads["trunk_W"] += np.outer(d_pre, x)
-                grads["trunk_b"] += d_pre
-                d_x = a["trunk_W"].T @ d_pre
-                d_h_obs += d_x[:e_dim]
-                grads[f"embed::{key}"] += d_x[e_dim:e_dim + a_dim]
-            prev = float(entry.value)
-        if want_grad:
-            d_pre_obs = d_h_obs * (1.0 - h_obs * h_obs)
-            grads["obs_W"] += np.outer(d_pre_obs, obs)
-            grads["obs_b"] += d_pre_obs
-    scale = 1.0 / len(batch)
-    if want_grad:
-        grad_params = NetParams(grads)
-        grad_params.scale(scale)
-        return total * scale, grad_params
-    return total * scale, None
+            x[idx, e_dim:-1] = a[f"embed::{key}"]
+        hidden = np.tanh(x @ a["trunk_W"].T + a["trunk_b"])
+        d_hidden = np.empty_like(hidden)
+        for key, idx in heads.items():
+            family, head_w = rows[idx[0]][4], a[f"head_W::{key}"]
+            params = [rows[j][3] for j in idx]
+            for distinct in dict.fromkeys(map(tuple, params)):
+                if dists.proposal_param_dim(dists.from_params(family, distinct)) != len(head_w):
+                    raise DimensionMismatch(f"head {key!r} does not fit prior {family}{distinct}")
+            raw = hidden[idx] @ head_w.T + a[f"head_b::{key}"]
+            nll, d_raw = dists.proposal_nll_grads(
+                family, raw, np.array([rows[j][2] for j in idx], dtype=float),
+                np.array(params, dtype=float))
+            total += float(nll.sum())
+            d_raw *= scale
+            grads[f"head_W::{key}"] = d_raw.T @ hidden[idx]
+            grads[f"head_b::{key}"] = d_raw.sum(axis=0)
+            d_hidden[idx] = d_raw @ head_w
+        d_pre = d_hidden * (1.0 - hidden * hidden)
+        grads["trunk_W"] = d_pre.T @ x
+        grads["trunk_b"] = d_pre.sum(axis=0)
+        d_x = d_pre @ a["trunk_W"]
+        for key, idx in heads.items():
+            grads[f"embed::{key}"] = d_x[idx, e_dim:-1].sum(axis=0)
+        d_h_obs = np.zeros_like(h_obs)
+        np.add.at(d_h_obs, trace_idx, d_x[:, :e_dim])
+        d_pre_obs = d_h_obs * (1.0 - h_obs * h_obs)
+        grads["obs_W"] = d_pre_obs.T @ obs
+        grads["obs_b"] = d_pre_obs.sum(axis=0)
+    return total * scale, NetParams(grads) if want_grad else None
 
 
 def ic_loss(net, batch):

@@ -22,6 +22,8 @@ from simppl.distributions import (
     softplus,
 )
 from simppl.errors import DimensionMismatch, ParameterError
+from simppl.runtime import FixedProposal
+from simppl.sis import sis_infer
 
 RNG = np.random.default_rng(20240817)
 
@@ -266,6 +268,68 @@ def test_proposal_support_covers_prior_categorical(raw):
         assert math.isfinite(q.log_prob(k))
 
 
+@pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (-2.0, 0.0), (0.0, math.pi), (1000.0, 1001.0),
+                                   (-1e300, 1.0), (5e-324, 1e-300)])
+def test_scaled_beta_draws_stay_inside_the_support(lo, hi):
+    # shapes of 1e-3 put nearly every beta draw at exactly 0 or 1
+    q = ScaledBeta(1e-3, 1e-3, lo, hi)
+    rng = np.random.default_rng(0)
+    draws = [q.sample(rng) for _ in range(400)]
+    assert all(lo < x < hi for x in draws)
+    assert all(math.isfinite(q.log_prob(x)) for x in draws)
+    assert min(draws) < lo + (hi - lo) / 4 and max(draws) > hi - (hi - lo) / 4
+
+
+def test_scaled_beta_interior_draws_unchanged():
+    q = ScaledBeta(2.0, 3.0, -1.0, 4.0)
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    assert [q.sample(a) for _ in range(200)] == [
+        float(-1.0 + 5.0 * b.beta(2.0, 3.0)) for _ in range(200)]
+
+
+def test_lognormal_draws_stay_finite_and_positive():
+    # at sigma = 400 about 6 % of raw draws underflow to 0 or overflow to inf
+    q = LogNormal(0.0, 400.0)
+    rng = np.random.default_rng(0)
+    draws = [q.sample(rng) for _ in range(1000)]
+    assert all(0.0 < x < math.inf for x in draws)
+    assert all(math.isfinite(q.log_prob(x)) for x in draws)
+
+
+PROPERTY_PRIORS = st.one_of(
+    st.builds(Normal, finite, positive),
+    st.builds(lambda lo, width: Uniform(lo, lo + width), finite, positive),
+    st.builds(Categorical, st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5).map(
+        lambda w: tuple(x / sum(w) for x in w))),
+    st.builds(Exponential, st.floats(1e-3, 1.0)),
+    st.builds(Poisson, positive),
+)
+
+
+def _one_site(prior):
+    def model(ctx):
+        ctx.sample("x", prior)
+        ctx.observe("y", Normal(0.0, 1.0), ctx.observed("y"))
+    return model
+
+
+@settings(max_examples=150, deadline=None)
+@given(prior=PROPERTY_PRIORS, data=st.data())
+def test_proposal_draws_keep_densities_and_weights_finite(prior, data):
+    raw = data.draw(st.lists(st.floats(min_value=-30, max_value=30, allow_nan=False),
+                             min_size=proposal_param_dim(prior),
+                             max_size=proposal_param_dim(prior)))
+    q = proposal_from_params(prior, raw)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    assert all(math.isfinite(q.log_prob(q.sample(rng))) for _ in range(50))
+    key = f"x:{prior.family}"
+    ps = sis_infer(_one_site(prior), {"y": 0.0}, 50, FixedProposal({key: q}),
+                   master_seed=data.draw(st.integers(0, 2**32 - 1)))
+    assert np.isfinite(ps.log_weights).all()
+    assert np.isfinite(ps.weights).all()
+    assert ps.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_softplus_floor_keeps_scales_positive():
     assert softplus(-1000.0) == 1e-12
     q = proposal_from_params(Normal(0, 1), [0.0, -1000.0])
@@ -313,6 +377,26 @@ def test_nll_grad_matches_finite_differences(prior, raw, value):
     assert nll == pytest.approx(-proposal_from_params(prior, raw).log_prob(value), rel=1e-12)
     fd = _fd_grad(prior, raw, value)
     assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "prior,raw,value",
+    [
+        (Uniform(0, 1), [0.2, -0.4], 1.0),
+        (Uniform(0, 1), [0.2, -0.4], 0.0),
+        (Uniform(0, 1), [0.2, -0.4], -3.0),
+        (Categorical((0.2, 0.3, 0.5)), [0.1, -0.2, 0.6], 5),
+        (Categorical((0.2, 0.3, 0.5)), [0.1, -0.2, 0.6], 1.5),
+        (Exponential(0.5), [0.3, 0.2], 0.0),
+        (Poisson(6.0), [1.2], -1),
+        (Poisson(6.0), [1.2], 2.5),
+    ],
+)
+def test_nll_outside_the_proposal_support_is_inf(prior, raw, value):
+    assert proposal_from_params(prior, raw).log_prob(value) == -math.inf
+    nll, grad = proposal_nll_grad(prior, raw, value)
+    assert nll == math.inf
+    assert grad.shape == (len(raw),)
 
 
 def test_from_params_roundtrip():

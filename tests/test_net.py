@@ -5,12 +5,22 @@ import numpy as np
 import pytest
 
 from simppl import simzoo
-from simppl.distributions import proposal_from_params
+from simppl.distributions import (
+    Categorical,
+    Exponential,
+    Normal,
+    Poisson,
+    Uniform,
+    from_params,
+    proposal_from_params,
+    proposal_nll_grad,
+)
 from simppl.errors import (
     ConfigError,
     DimensionMismatch,
     MalformedFile,
     NonFiniteLoss,
+    SimpplError,
     UnknownHead,
     VersionMismatch,
 )
@@ -31,6 +41,7 @@ from simppl.net import (
 )
 from simppl.runtime import Mode, run_model
 from simppl.sis import particle_seed
+from simppl.trace import iter_traces, write_traces
 
 GAUSSIAN = simzoo.get_model("gaussian_unknown_mean")
 TAU = simzoo.get_model("tau_decay_toy")
@@ -184,6 +195,138 @@ def test_gradient_matches_finite_differences():
         fd = (up - dn) / (2 * h)
         assert abs(fd - grad[c]) <= 1e-4 * max(abs(fd), abs(grad[c]), 1e-6)
     net.params.from_vector(pvec)
+
+
+# ---------------------------------------------------------------------------
+# the batched step against a per-entry reference
+
+
+def all_families(ctx):
+    # every prior family; "u" repeats within a trace, and its Uniform bounds
+    # depend on earlier draws, so prior parameters vary within one head
+    k = ctx.sample("k", Categorical((0.2, 0.3, 0.5)))
+    n = ctx.sample("n", Poisson(3.0))
+    rate = ctx.sample("rate", Exponential(1.5))
+    lo = ctx.sample("lo", Normal(0.0, 1.0))
+    total = 0.0
+    for _ in range(3):
+        total += ctx.sample("u", Uniform(lo, lo + 1.0 + k))
+    ctx.observe("y1", Normal(total + n, 1.0), ctx.observed("y1"))
+    ctx.observe("y2", Normal(rate, 0.5), ctx.observed("y2"))
+
+
+ALL_FAMILIES = simzoo.ModelSpec(name="all_families", run=all_families,
+                                obs_to_vector=None, observation_from_values=None)
+
+
+def perturbed_net(spec, seed, scale=0.3, n_sims=64):
+    arch, std = discover_architecture(spec, seed, n_sims=n_sims)
+    params = glorot_init(arch, _derived_seed(seed, 0))
+    rng = np.random.default_rng(seed)
+    for name in params.names():
+        params.arrays[name] += rng.normal(0.0, scale, params.arrays[name].shape)
+    return ProposalNetwork(arch=arch, params=params, standardization=std)
+
+
+def reference_loss_and_grad(net, batch):
+    """One entry at a time: -log q from proposal_from_params(...).log_prob,
+    d(-log q)/d raw from proposal_nll_grad, backprop through each entry."""
+    arch, a = net.arch, net.params.arrays
+    e_dim = arch.obs_embed_dim
+    grads = net.params.zeros_like().arrays
+    total = 0.0
+    for trace in batch:
+        obs = net.standardization.apply(np.asarray([o.value for o in trace.observes]))
+        h_obs = np.tanh(a["obs_W"] @ obs + a["obs_b"])
+        d_h_obs = np.zeros_like(h_obs)
+        prev = 0.0
+        for entry in trace.entries:
+            key = entry.address.head_key
+            prior = from_params(entry.address.family_tag, entry.params)
+            x = np.concatenate([h_obs, a[f"embed::{key}"], [prev / (1.0 + abs(prev))]])
+            hidden = np.tanh(a["trunk_W"] @ x + a["trunk_b"])
+            raw = a[f"head_W::{key}"] @ hidden + a[f"head_b::{key}"]
+            total -= proposal_from_params(prior, raw).log_prob(entry.value)
+            _, d_raw = proposal_nll_grad(prior, raw, entry.value)
+            grads[f"head_W::{key}"] += np.outer(d_raw, hidden)
+            grads[f"head_b::{key}"] += d_raw
+            d_pre = (a[f"head_W::{key}"].T @ d_raw) * (1.0 - hidden * hidden)
+            grads["trunk_W"] += np.outer(d_pre, x)
+            grads["trunk_b"] += d_pre
+            d_x = a["trunk_W"].T @ d_pre
+            d_h_obs += d_x[:e_dim]
+            grads[f"embed::{key}"] += d_x[e_dim:-1]
+            prev = float(entry.value)
+        d_pre_obs = d_h_obs * (1.0 - h_obs * h_obs)
+        grads["obs_W"] += np.outer(d_pre_obs, obs)
+        grads["obs_b"] += d_pre_obs
+    n = len(batch)
+    return total / n, NetParams({k: v / n for k, v in grads.items()})
+
+
+@pytest.mark.parametrize("spec,size", [(ALL_FAMILIES, 16), (ALL_FAMILIES, 1), (TAU, 8),
+                                       (simzoo.get_model("rejection_demo"), 16)])
+def test_batched_step_matches_per_entry_reference(spec, size):
+    for seed in range(3):
+        net = perturbed_net(spec, seed)
+        batch = record_batch(spec, size, seed=500 + seed)
+        want_loss, want_grad = reference_loss_and_grad(net, batch)
+        assert ic_loss(net, batch) == pytest.approx(want_loss, rel=1e-12, abs=0.0)
+        got = ic_grad(net, batch)
+        for name in net.params.names():
+            diff = np.abs(got.arrays[name] - want_grad.arrays[name]).max()
+            assert diff <= 1e-12 * max(np.abs(want_grad.arrays[name]).max(), 1e-300), name
+
+
+def test_all_families_model_exercises_every_head():
+    arch, _ = discover_architecture(ALL_FAMILIES, 1, n_sims=8)
+    assert {h.family for h in arch.heads.values()} == {
+        "Categorical", "Poisson", "Exponential", "Normal", "Uniform"}
+    batch = record_batch(ALL_FAMILIES, 8)
+    keys = [e.address.head_key for e in batch[0].entries]
+    assert keys.count("u:Uniform") == 3
+    bounds = {e.params for t in batch for e in t.entries if e.address.head_key == "u:Uniform"}
+    assert len(bounds) == 8
+
+
+def test_batched_step_unknown_head_raises():
+    net = perturbed_net(ALL_FAMILIES, 1)
+    del net.arch.heads["n:Poisson"]
+    with pytest.raises(UnknownHead, match="n:Poisson"):
+        ic_grad(net, record_batch(ALL_FAMILIES, 4))
+
+
+def test_batched_step_rejects_observation_of_wrong_shape():
+    net = perturbed_net(ALL_FAMILIES, 1)
+    batch = record_batch(ALL_FAMILIES, 4)
+    batch[2].observes.pop()
+    with pytest.raises(DimensionMismatch):
+        ic_loss(net, batch)
+
+
+def test_batched_step_needs_observe_values(tmp_path):
+    # observe values are not part of the trace file schema
+    net = perturbed_net(ALL_FAMILIES, 1)
+    path = tmp_path / "traces.jsonl"
+    write_traces(path, record_batch(ALL_FAMILIES, 2))
+    with pytest.raises(SimpplError, match="no recorded observe values"):
+        ic_loss(net, list(iter_traces(path)))
+
+
+def on_the_bound(ctx):
+    # no float lies strictly inside (1, 1 + ulp): every draw is on a bound,
+    # outside the open support of the ScaledBeta proposal
+    ctx.sample("u", Uniform(1.0, math.nextafter(1.0, 2.0)))
+    ctx.observe("y", Normal(0.0, 1.0), ctx.observed("y"))
+
+
+def test_value_outside_proposal_support_gives_nonfinite_loss():
+    spec = simzoo.ModelSpec(name="bound", run=on_the_bound, obs_to_vector=None,
+                            observation_from_values=None)
+    net = perturbed_net(spec, 1, n_sims=8)
+    assert ic_loss(net, record_batch(spec, 4)) == math.inf
+    with pytest.raises(NonFiniteLoss):
+        train(spec, TrainingConfig(steps=2, master_seed=1, batch_size=4))
 
 
 # ---------------------------------------------------------------------------

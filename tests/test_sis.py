@@ -102,14 +102,17 @@ def test_minus_inf_particles_tolerated_when_any_survive():
     assert (dead == 0.0).all()
 
 
-def test_boundary_draws_raise_non_finite_weight_naming_the_site():
-    # the proposal puts u exactly on the support boundary, where log q = -inf
+def test_boundary_draws_are_clamped_into_the_support():
+    # tiny shapes put most beta draws exactly at 0 or 1; the proposal clamps
+    # them inside (-1, 1), so every log q and every weight stays finite
     proposal = FixedProposal({"disc/u:Uniform": ScaledBeta(1e-3, 1e-3, -1.0, 1.0)})
     rejection = simzoo.get_model("rejection_demo").run
-    with pytest.raises(NonFiniteWeight) as err:
-        sis_infer(rejection, {"y": 0.5}, 200, proposal, master_seed=1)
-    assert err.value.address.head_key == "disc/u:Uniform"
-    assert "disc/u:Uniform#" in str(err.value)
+    ps = sis_infer(rejection, {"y": 0.5}, 200, proposal, master_seed=1)
+    assert np.isfinite(ps.log_weights).all()
+    assert np.isfinite(ps.weights).all()
+    assert ps.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    u = [t.entries[-2].value for t in ps.traces]
+    assert all(-1.0 < v < 1.0 for v in u)
 
 
 def test_mixed_finite_and_inf_log_weights_raise():
