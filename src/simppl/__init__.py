@@ -18,7 +18,7 @@ from .distributions import (
     proposal_param_dim,
 )
 from .errors import SimpplError
-from .inspector import SuccessionGraph, TraceStats, build_graph, compute_stats, graph_to_dot, hotspot_report
+from .inspector import SuccessionGraph, TraceStats, graph_to_dot, hotspot_report
 from .net import (
     NetArchitecture,
     ProposalNetwork,
@@ -59,8 +59,6 @@ __all__ = [
     "TrainedProposal",
     "TrainingConfig",
     "Uniform",
-    "build_graph",
-    "compute_stats",
     "effective_sample_size",
     "graph_to_dot",
     "hotspot_report",

@@ -24,6 +24,27 @@ from .sis import effective_sample_size, particle_seed, posterior_summary, sis_in
 from .trace import iter_traces, trace_to_line
 
 
+def _int_at_least(low, what):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+# seeds and trace counts may be 0; particle and thread counts may not
+_SEED = _int_at_least(0, "seed")
+_COUNT = _int_at_least(0, "count")
+_PARTICLES = _int_at_least(1, "particles")
+_THREADS = _int_at_least(1, "threads")
+_THREADS_HELP = "accepted for compatibility; every command runs sequentially"
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="simppl",
@@ -33,29 +54,29 @@ def _build_parser():
 
     gen = sub.add_parser("generate", help="write prior/record traces as JSONL")
     gen.add_argument("--model", required=True)
-    gen.add_argument("--n", type=int, required=True, help="number of traces")
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--n", type=_COUNT, required=True, help="number of traces")
+    gen.add_argument("--seed", type=_SEED, required=True)
     gen.add_argument("--mode", choices=["prior", "record"], default="prior")
     gen.add_argument("--out", required=True, help="output JSONL path")
-    gen.add_argument("--threads", type=int, default=1)
+    gen.add_argument("--threads", type=_THREADS, default=1, help=_THREADS_HELP)
 
     tr = sub.add_parser("train", help="train a proposal network on prior runs")
     tr.add_argument("--model", required=True)
     tr.add_argument("--steps", type=int, required=True)
-    tr.add_argument("--seed", type=int, required=True)
+    tr.add_argument("--seed", type=_SEED, required=True)
     tr.add_argument("--net-out", required=True, help="output network JSON path")
     tr.add_argument("--batch-size", type=int, default=64)
     tr.add_argument("--lr", type=float, default=1e-3)
-    tr.add_argument("--threads", type=int, default=1)
+    tr.add_argument("--threads", type=_THREADS, default=1, help=_THREADS_HELP)
 
     inf = sub.add_parser("infer", help="guided SIS posterior for an observation")
     inf.add_argument("--model", required=True)
     inf.add_argument("--observation", required=True, help="observation JSON path")
     inf.add_argument("--net", help="trained network JSON; omit for prior proposals")
-    inf.add_argument("--particles", type=int, required=True)
-    inf.add_argument("--seed", type=int, required=True)
+    inf.add_argument("--particles", type=_PARTICLES, required=True)
+    inf.add_argument("--seed", type=_SEED, required=True)
     inf.add_argument("--out", required=True, help="output summary JSON path")
-    inf.add_argument("--threads", type=int, default=1)
+    inf.add_argument("--threads", type=_THREADS, default=1, help=_THREADS_HELP)
 
     ins = sub.add_parser("inspect", help="succession graph, stats, and hotspots")
     ins.add_argument("--traces", required=True, help="input JSONL path")
@@ -63,8 +84,7 @@ def _build_parser():
     ins.add_argument("--stats-out", required=True, help="output stats JSON path")
     ins.add_argument("--threshold", type=float, default=1.5,
                      help="mean occurrences per trace above which an address is hot")
-    ins.add_argument("--threads", type=int, default=1,
-                     help="accepted for interface uniformity; inspection is sequential")
+    ins.add_argument("--threads", type=_THREADS, default=1, help=_THREADS_HELP)
     return parser
 
 
@@ -87,13 +107,7 @@ def cmd_generate(args):
         trace.trace_id = i
         return trace
 
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            traces = list(pool.map(one, range(args.n)))
-    else:
-        traces = [one(i) for i in range(args.n)]
+    traces = [one(i) for i in range(args.n)]
     with open(args.out, "w") as fh:
         for trace in traces:
             fh.write(trace_to_line(trace) + "\n")

@@ -52,13 +52,6 @@ class SuccessionGraph:
         return sorted(b for (a, b) in self.edges if a == node)
 
 
-def build_graph(traces):
-    graph = SuccessionGraph()
-    for trace in traces:
-        graph.add_trace(trace)
-    return graph
-
-
 def _dot_quote(name):
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -100,7 +93,7 @@ class TraceStats:
         for entry in trace.entries:
             addr = entry.address.rendered
             self.address_counts[addr] = self.address_counts.get(addr, 0) + 1
-        for scope_id, retries in _scope_executions(trace):
+        for scope_id, retries in trace.scope_executions:
             hist = self.scope_retry_hist.setdefault(scope_id, {})
             hist[retries] = hist.get(retries, 0) + 1
 
@@ -119,47 +112,6 @@ class TraceStats:
                 for scope, hist in sorted(self.scope_retry_hist.items())
             },
         }
-
-
-def _scope_executions(trace):
-    """Yield (scope_id, retry_count) per contiguous scope segment.
-
-    An iteration index that does not increase marks the start of a new
-    execution of the same scope.
-    """
-    current = None
-    max_iter = 0
-    prev_iter = -1
-    for entry in trace.entries:
-        sid = entry.scope_id
-        if sid is None:
-            if current is not None:
-                yield current, max_iter
-                current = None
-            prev_iter = -1
-            continue
-        if sid != current:
-            if current is not None:
-                yield current, max_iter
-            current = sid
-            max_iter = entry.iteration
-            prev_iter = entry.iteration
-            continue
-        if entry.iteration < prev_iter or (entry.iteration == prev_iter == 0 and max_iter > 0):
-            yield current, max_iter
-            max_iter = entry.iteration
-        else:
-            max_iter = max(max_iter, entry.iteration)
-        prev_iter = entry.iteration
-    if current is not None:
-        yield current, max_iter
-
-
-def compute_stats(traces):
-    stats = TraceStats()
-    for trace in traces:
-        stats.add_trace(trace)
-    return stats
 
 
 def _strip_instance(rendered):

@@ -176,14 +176,6 @@ class ProposalNetwork:
         hidden = np.tanh(a["trunk_W"] @ x + a["trunk_b"])
         return a[f"head_W::{head_key}"] @ hidden + a[f"head_b::{head_key}"]
 
-    def forward(self, obs_vec, address, prev_value):
-        """Unconstrained proposal parameters for one address.
-
-        address may be an Address or an already-stripped head key.
-        """
-        key = address if isinstance(address, str) else address.head_key
-        return self.raw_from_encoding(self.encode_obs(obs_vec), key, prev_value)
-
 
 def _trace_obs_vector(trace):
     values = [o.value for o in trace.observes]

@@ -12,6 +12,9 @@ three modes:
   guided  conditioned run; latents are drawn from proposal distributions and
           every draw contributes log_p - log_q to the trace weight
 
+Every mode appends (scope_id, retries) to trace.scope_executions as each
+rejection scope exits, inner scopes before the scope that holds them.
+
 Latent draws consume RNG stream 0 of the execution seed and synthetic
 observations stream 1, so prior and guided executions with the same seed see
 identical latent randomness.
@@ -53,16 +56,18 @@ class _ScopeState:
         "occ",
         "entry_mark",
         "observe_mark",
+        "execution_mark",
         "counter_snapshot",
     )
 
-    def __init__(self, scope_id, entry_mark, observe_mark, counter_snapshot):
+    def __init__(self, scope_id, trace, counter_snapshot):
         self.scope_id = scope_id
         self.iteration = 0
         self.cached = {}
         self.occ = {}
-        self.entry_mark = entry_mark
-        self.observe_mark = observe_mark
+        self.entry_mark = len(trace.entries)
+        self.observe_mark = len(trace.observes)
+        self.execution_mark = len(trace.scope_executions)
         self.counter_snapshot = counter_snapshot
 
 
@@ -232,9 +237,7 @@ class ExecutionContext:
         if any(s.scope_id == scope_id for s in self._scopes):
             raise NestedScopeReuse(f"scope {scope_id!r} is already active")
         snapshot = self.counters.snapshot() if self.mode is Mode.RECORD else None
-        self._scopes.append(
-            _ScopeState(scope_id, len(self.trace.entries), len(self.trace.observes), snapshot)
-        )
+        self._scopes.append(_ScopeState(scope_id, self.trace, snapshot))
         self._path = self._path + (scope_id,)
 
     def scope_retry(self):
@@ -242,10 +245,12 @@ class ExecutionContext:
             raise ScopeUnderflow("scope_retry outside any scope")
         scope = self._scopes[-1]
         if self.mode is Mode.RECORD:
-            # discard the rejected iteration entirely; counters roll back so
-            # the next iteration reuses the same instance numbers
+            # discard the rejected iteration entirely (its inner scope
+            # executions too, but not this scope's retry count); counters roll
+            # back so the next iteration reuses the same instance numbers
             del self.trace.entries[scope.entry_mark:]
             del self.trace.observes[scope.observe_mark:]
+            del self.trace.scope_executions[scope.execution_mark:]
             self.counters.restore(scope.counter_snapshot)
         else:
             for entry in self.trace.entries[scope.entry_mark:]:
@@ -258,7 +263,8 @@ class ExecutionContext:
     def scope_end(self):
         if not self._scopes:
             raise ScopeUnderflow("scope_end without scope_begin")
-        self._scopes.pop()
+        scope = self._scopes.pop()
+        self.trace.scope_executions.append((scope.scope_id, scope.iteration))
         self._path = self._path[:-1]
 
     @contextmanager

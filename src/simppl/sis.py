@@ -1,19 +1,18 @@
 """Sequential importance sampling over model executions.
 
-Particles are independent guided executions; particle i uses the RNG stream
-derived from (master_seed, i), so results are identical for any thread count
-and any execution order.
+Particles are independent guided executions, run one after another; particle
+i uses the RNG stream derived from (master_seed, i), so results depend only on
+(master_seed, n_particles).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllWeightsZero, MissingPredict, NonFiniteWeight, SimpplError
+from .errors import AllWeightsZero, ConfigError, MissingPredict, NonFiniteWeight, SimpplError
 from .runtime import Mode, run_model
 
 
@@ -79,9 +78,14 @@ def effective_sample_size(particles):
 
 
 def sis_infer(model, observation, n_particles, proposal_source=None, master_seed=0, threads=1):
-    """Run n_particles guided executions and return a normalized ParticleSet."""
+    """Run n_particles guided executions and return a normalized ParticleSet.
+
+    threads must be >= 1; it changes neither the result nor the speed.
+    """
     if n_particles < 1:
-        raise SimpplError("n_particles must be >= 1")
+        raise ConfigError("n_particles must be >= 1")
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
 
     def one(index):
         trace = run_model(
@@ -94,11 +98,7 @@ def sis_infer(model, observation, n_particles, proposal_source=None, master_seed
         trace.trace_id = index
         return trace
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(one, range(n_particles)))
-    else:
-        traces = [one(i) for i in range(n_particles)]
+    traces = [one(i) for i in range(n_particles)]
     log_weights = np.array([t.log_weight for t in traces], dtype=float)
     return ParticleSet(traces=traces, log_weights=log_weights).normalize()
 

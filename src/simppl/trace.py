@@ -53,9 +53,7 @@ def intern_address(path, family_tag, instance):
     key = (path, family_tag, instance)
     addr = _INTERN.get(key)
     if addr is None:
-        # setdefault is atomic under the GIL; a racing thread at worst builds
-        # a duplicate that loses and is dropped.
-        addr = _INTERN.setdefault(key, Address(path, family_tag, instance))
+        addr = _INTERN[key] = Address(path, family_tag, instance)
     return addr
 
 
@@ -146,11 +144,6 @@ def _bulk_entry(parent_path, site_ids, family_tag):
     return fresh, tuple(intern_address(p, family_tag, 0) for p in paths)
 
 
-def address_extend(parent_path, site_id, family_tag, counters):
-    """Functional form of AddressTable.extend."""
-    return counters.extend(tuple(parent_path), site_id, family_tag)
-
-
 @dataclass(slots=True)
 class TraceEntry:
     """One executed sample statement.
@@ -185,9 +178,17 @@ class ObserveEntry:
 
 @dataclass
 class Trace:
+    """One model execution.
+
+    scope_executions holds (scope_id, retries) per rejection-scope execution
+    in exit order; in record mode it keeps the retry counts of the iterations
+    it rolled back, but not the inner scope executions they contained.
+    """
+
     entries: list = field(default_factory=list)
     observes: list = field(default_factory=list)
     predicts: dict = field(default_factory=dict)
+    scope_executions: list = field(default_factory=list)
     log_weight: float = 0.0
     trace_id: int = 0
     proposal_fallbacks: int = 0
@@ -240,12 +241,20 @@ def trace_to_obj(trace):
         ],
         "predicts": trace.predicts,
         "log_weight": trace.log_weight,
+        "scopes": trace.scope_executions,
     }
 
 
 def obj_to_trace(obj):
+    scopes = obj["scopes"]
+    if not isinstance(scopes, list) or not all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and isinstance(p[0], str)
+        and type(p[1]) is int and p[1] >= 0 for p in scopes
+    ):
+        raise ValueError(f"scopes must be a list of [scope_id, retries >= 0], got {scopes!r}")
     trace = Trace(
         predicts=dict(obj["predicts"]),
+        scope_executions=[tuple(p) for p in scopes],
         log_weight=obj["log_weight"],
         trace_id=obj["trace_id"],
         finalized=True,
@@ -287,13 +296,15 @@ def write_traces(path_or_file, traces):
 
 
 def iter_traces(path):
-    """Yield traces from a JSONL file; raises MalformedTrace with the line number."""
-    with open(path) as fh:
+    """Yield traces from a UTF-8 JSONL file; raises MalformedTrace with the
+    line number."""
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                yield obj_to_trace(obj)
-            except (ValueError, KeyError, TypeError) as exc:
+                # UnicodeDecodeError is a ValueError
+                trace = obj_to_trace(json.loads(line.decode("utf-8")))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise MalformedTrace(line_no, str(exc)) from exc
+            yield trace

@@ -199,6 +199,32 @@ def test_inspect_outputs(tmp_path, capsys):
     assert json.loads(stats.read_text())["n_traces"] == 30
 
 
+def test_inspect_reports_retries_recorded_in_record_mode(tmp_path, capsys):
+    # record traces keep only the accepted pass, and still carry its retry count
+    def scope_hist(mode):
+        traces, stats = tmp_path / f"{mode}.jsonl", tmp_path / f"{mode}.json"
+        assert cli.main(["generate", "--model", "rejection_demo", "--n", "500",
+                         "--seed", "5", "--mode", mode, "--out", str(traces)]) == 0
+        assert cli.main(["inspect", "--traces", str(traces), "--dot-out",
+                         str(tmp_path / "g.dot"), "--stats-out", str(stats)]) == 0
+        return json.loads(stats.read_text())["scopes"]
+
+    record = scope_hist("record")
+    assert record == scope_hist("prior")
+    assert sum(record["disc"].values()) == 500
+    assert set(record["disc"]) != {"0"}
+
+
+def test_inspect_non_utf8_trace_file_is_runtime_failure(tmp_path, capsys):
+    traces = tmp_path / "bad.jsonl"
+    traces.write_bytes(b"\xff\xfe\x00garbage\n")
+    rc = cli.main(["inspect", "--traces", str(traces),
+                   "--dot-out", str(tmp_path / "g.dot"),
+                   "--stats-out", str(tmp_path / "s.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: line 1:")
+
+
 def test_inspect_empty_trace_file(tmp_path, capsys):
     traces = tmp_path / "empty.jsonl"
     traces.write_text("")
@@ -295,13 +321,42 @@ def test_infer_rejects_malformed_observation_json(tmp_path, capsys):
 def test_inspect_malformed_trace_line_is_runtime_failure(tmp_path, capsys):
     traces = tmp_path / "bad.jsonl"
     good = json.dumps({"trace_id": 0, "entries": [], "observes": [],
-                       "predicts": {}, "log_weight": 0.0})
+                       "predicts": {}, "log_weight": 0.0, "scopes": []})
     traces.write_text(good + "\nnot json\n")
     rc = cli.main(["inspect", "--traces", str(traces),
                    "--dot-out", str(tmp_path / "g.dot"),
                    "--stats-out", str(tmp_path / "s.json")])
     assert rc == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def _gen(*opts):
+    return lambda d: ["generate", "--model", "rejection_demo", "--out", str(d / "t.jsonl"), *opts]
+
+
+@pytest.mark.parametrize(
+    "argv_builder",
+    [
+        _gen("--n", "2", "--seed", "-1"),
+        _gen("--n", "-3", "--seed", "1"),
+        _gen("--n", "two", "--seed", "1"),
+        _gen("--n", "2", "--seed", "1", "--threads", "0"),
+        _gen("--n", "2", "--seed", "1", "--threads", "-2"),
+        lambda d: ["train", "--model", "gaussian_unknown_mean", "--steps", "1",
+                   "--seed", "-5", "--net-out", str(d / "net.json")],
+        lambda d: ["infer", "--model", "gaussian_unknown_mean", "--observation",
+                   str(d / "obs.json"), "--particles", "0", "--seed", "1",
+                   "--out", str(d / "o.json")],
+        lambda d: ["inspect", "--traces", str(d / "t.jsonl"), "--dot-out", str(d / "g.dot"),
+                   "--stats-out", str(d / "s.json"), "--threads", "0"],
+    ],
+)
+def test_bad_integer_options_are_usage_errors(tmp_path, capsys, argv_builder):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv_builder(tmp_path))
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -122,7 +122,7 @@ def test_glorot_bounds_and_zero_heads():
 def test_zero_heads_give_neutral_proposals():
     from simppl.distributions import Normal
     net = gaussian_net()
-    raw = net.forward(np.asarray([2.0]), "mu:Normal", 0.0)
+    raw = net.raw_from_encoding(net.encode_obs([2.0]), "mu:Normal", 0.0)
     assert raw == pytest.approx([0.0, 0.0])
     q = proposal_from_params(Normal(0, 1), raw)
     assert (q.mu, q.sigma) == (0.0, pytest.approx(math.log(2.0)))
@@ -143,7 +143,7 @@ def test_init_is_seed_deterministic():
 def test_forward_unknown_head_raises():
     net = gaussian_net()
     with pytest.raises(UnknownHead):
-        net.forward(np.asarray([1.0]), "nope:Normal", 0.0)
+        net.raw_from_encoding(net.encode_obs([1.0]), "nope:Normal", 0.0)
 
 
 def test_encode_obs_checks_dimension():

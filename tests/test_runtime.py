@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from simppl.errors import (
     ScopeUnderflow,
 )
 from simppl.runtime import ExecutionContext, FixedProposal, Mode, run_model
-from simppl.trace import trace_log_weight, trace_to_line
+from simppl.trace import obj_to_trace, trace_log_weight, trace_to_line
 
 REJECTION = simzoo.get_model("rejection_demo").run
 GAUSSIAN = simzoo.get_model("gaussian_unknown_mean").run
@@ -272,6 +273,57 @@ def test_record_rollback_restores_counters_of_inner_sites():
     rendered = [e.address.rendered for e in tr.entries]
     assert rendered == ["pre:Normal#0", "s/x:Normal#0", "s/x:Normal#1",
                         "s/x:Normal#2", "post:Normal#0"]
+
+
+# Scope plans for the property test below: (scope_id, iterations), where every
+# iteration is a body of site ids and inner plans, all but the last rejected.
+# The scope id is the nesting depth, so siblings reuse an id and nests do not.
+_PLAN_SITES = st.sampled_from(["a", "b"])
+
+
+def _scope_plans(depth=0):
+    item = _PLAN_SITES if depth == 2 else _PLAN_SITES | st.deferred(lambda: _scope_plans(depth + 1))
+    body = st.lists(item, max_size=3)
+    return st.tuples(st.just(f"s{depth}"), st.lists(body, min_size=1, max_size=3))
+
+
+def _run_plan(ctx, body):
+    for item in body:
+        if isinstance(item, str):
+            ctx.sample(item, Normal(0, 1))
+            continue
+        scope_id, iterations = item
+        with ctx.rejection_scope(scope_id):
+            for k, inner in enumerate(iterations):
+                _run_plan(ctx, inner)
+                if k < len(iterations) - 1:
+                    ctx.scope_retry()
+
+
+def _plan_executions(body, record):
+    """(scope_id, retries) in exit order; record mode drops what ran inside
+    rejected iterations."""
+    out = []
+    for item in body:
+        if isinstance(item, str):
+            continue
+        scope_id, iterations = item
+        kept = iterations[-1:] if record else iterations
+        for inner in kept:
+            out += _plan_executions(inner, record)
+        out.append((scope_id, len(iterations) - 1))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan=st.lists(_PLAN_SITES | _scope_plans(), max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_scope_executions_match_the_program_in_every_mode(plan, seed):
+    for mode in Mode:
+        observation = {} if mode is Mode.GUIDED else None
+        tr = run_model(lambda ctx: _run_plan(ctx, plan), mode, seed, observation=observation)
+        want = _plan_executions(plan, mode is Mode.RECORD)
+        assert tr.scope_executions == want
+        assert obj_to_trace(json.loads(trace_to_line(tr))).scope_executions == want
 
 
 # ---------------------------------------------------------------------------

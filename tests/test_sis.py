@@ -5,7 +5,7 @@ import pytest
 
 from simppl import simzoo
 from simppl.distributions import Normal, ScaledBeta, Uniform
-from simppl.errors import AllWeightsZero, MissingPredict, NonFiniteWeight, SimpplError
+from simppl.errors import AllWeightsZero, ConfigError, MissingPredict, NonFiniteWeight, SimpplError
 from simppl.runtime import FixedProposal, Mode, run_model
 from simppl.sis import (
     ParticleSet,
@@ -170,6 +170,12 @@ def test_thread_count_does_not_change_results():
         ps = sis_infer(GAUSSIAN, {"y": 1.0}, 64, master_seed=9, threads=threads)
         assert np.array_equal(np.asarray(ps.log_weights), np.asarray(base.log_weights))
         assert [trace_to_line(t) for t in ps.traces] == [trace_to_line(t) for t in base.traces]
+
+
+@pytest.mark.parametrize("n_particles, threads", [(0, 1), (-1, 1), (4, 0), (4, -2)])
+def test_particle_and_thread_counts_below_one_are_config_errors(n_particles, threads):
+    with pytest.raises(ConfigError):
+        sis_infer(GAUSSIAN, {"y": 1.0}, n_particles, threads=threads)
 
 
 # ---------------------------------------------------------------------------

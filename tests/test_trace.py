@@ -11,7 +11,6 @@ from simppl.trace import (
     ObserveEntry,
     Trace,
     TraceEntry,
-    address_extend,
     intern_address,
     iter_traces,
     obj_to_trace,
@@ -121,9 +120,9 @@ def test_snapshot_restore_rewinds_counters():
     assert a.instance == 1
 
 
-def test_address_extend_function_matches_method():
+def test_extend_renders_the_parent_path():
     table = AddressTable()
-    a = address_extend(("scope",), "s", "Exponential", table)
+    a = table.extend(("scope",), "s", "Exponential")
     assert a.rendered == "scope/s:Exponential#0"
 
 
@@ -170,6 +169,7 @@ def sample_trace():
     t.observes.append(ObserveEntry(address=intern_address(("y",), "Normal", 0),
                                    log_likelihood=-1.5, value=0.9))
     t.predicts["u"] = 0.25
+    t.scope_executions = [("disc", 1)]
     t.log_weight = -1.49
     t.finalized = True
     return t
@@ -177,7 +177,8 @@ def sample_trace():
 
 def test_serialized_fields_exact():
     obj = trace_to_obj(sample_trace())
-    assert set(obj) == {"trace_id", "entries", "observes", "predicts", "log_weight"}
+    assert set(obj) == {"trace_id", "entries", "observes", "predicts", "log_weight", "scopes"}
+    assert obj["scopes"] == [("disc", 1)]
     entry = obj["entries"][0]
     assert set(entry) == {"addr", "family", "params", "value", "log_p",
                           "log_q", "scope_id", "iteration", "accepted"}
@@ -197,6 +198,7 @@ def test_roundtrip_preserves_structure():
     assert back.entries[0].accepted is False
     assert back.entries[0].iteration == 1
     assert back.predicts == {"u": 0.25}
+    assert back.scope_executions == [("disc", 1)]
 
 
 def test_write_then_iter_roundtrips(tmp_path):
@@ -223,6 +225,40 @@ def test_missing_field_is_malformed(tmp_path):
     path.write_text(json.dumps(obj) + "\n")
     with pytest.raises(MalformedTrace):
         list(iter_traces(path))
+
+
+@pytest.mark.parametrize("scopes", [None, [["disc", "1"]], [["disc", -1]], [["disc"]],
+                                    [[3, 0]], ["ab"], {"disc": 1}])
+def test_missing_or_malformed_scopes_are_malformed(tmp_path, scopes):
+    # every key is required: scope executions are never rebuilt from entries
+    obj = trace_to_obj(sample_trace())
+    if scopes is None:
+        del obj["scopes"]
+    else:
+        obj["scopes"] = scopes
+    path = tmp_path / "traces.jsonl"
+    path.write_text(trace_to_line(sample_trace()) + "\n" + json.dumps(obj) + "\n")
+    with pytest.raises(MalformedTrace) as err:
+        list(iter_traces(path))
+    assert err.value.line_no == 2
+    assert "scopes" in str(err.value)
+
+
+def test_address_of_the_wrong_type_is_malformed(tmp_path):
+    obj = trace_to_obj(sample_trace())
+    obj["entries"][0]["addr"] = 5
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(MalformedTrace):
+        list(iter_traces(path))
+
+
+def test_non_utf8_line_is_malformed(tmp_path):
+    path = tmp_path / "traces.jsonl"
+    path.write_bytes(trace_to_line(sample_trace()).encode() + b"\n\xff\xfe{}\n")
+    with pytest.raises(MalformedTrace) as err:
+        list(iter_traces(path))
+    assert err.value.line_no == 2
 
 
 def test_serialization_is_deterministic():
