@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import net as net_mod
 from . import simzoo
 from .errors import ConfigError, SimpplError
 from .inspector import SuccessionGraph, TraceStats, graph_to_dot, hotspot_report
-from .runtime import Mode, run_model
-from .sis import effective_sample_size, particle_seed, posterior_summary, sis_infer
-from .trace import iter_traces, trace_to_line
+from .runtime import Mode, run_batch
+from .sis import effective_sample_size, posterior_summary, sis_infer
+from .trace import iter_traces, write_traces
 
 
 def _int_at_least(low, what):
@@ -100,17 +101,8 @@ def _load_json(path, what):
 
 def cmd_generate(args):
     spec = simzoo.get_model(args.model)
-    mode = Mode(args.mode)
-
-    def one(i):
-        trace = run_model(spec.run, mode, particle_seed(args.seed, i))
-        trace.trace_id = i
-        return trace
-
-    traces = [one(i) for i in range(args.n)]
-    with open(args.out, "w") as fh:
-        for trace in traces:
-            fh.write(trace_to_line(trace) + "\n")
+    traces = list(run_batch(spec.run, Mode(args.mode), args.seed, args.n))
+    write_traces(args.out, traces)
     mean_length = sum(t.length for t in traces) / len(traces) if traces else 0.0
     print(json.dumps({"n": len(traces), "mean_length": mean_length}))
     return 0
@@ -151,6 +143,7 @@ def cmd_infer(args):
         )
     spec = simzoo.get_model(args.model, wrapper.get("config"))
     observation = wrapper["values"]
+    _check_finite(observation)
     try:
         obs_vec = spec.obs_to_vector(observation)
     except (KeyError, TypeError, ValueError) as exc:
@@ -181,6 +174,16 @@ def cmd_infer(args):
         fh.write(payload + "\n")
     print(payload)
     return 0
+
+
+def _check_finite(observation):
+    """Reject a NaN or infinite value, naming its key or list cell."""
+    for key, value in observation.items():
+        cells = enumerate(value) if isinstance(value, list) else [(None, value)]
+        for i, v in cells:
+            if isinstance(v, float) and not math.isfinite(v):
+                where = key if i is None else f"{key}[{i}]"
+                raise ConfigError(f"observation {where} is not finite: {v!r}")
 
 
 def cmd_inspect(args):

@@ -81,12 +81,9 @@ class AllWeightsZero(SimpplError):
 class NonFiniteWeight(SimpplError):
     """A particle's log-weight is +inf or NaN, so weights cannot be normalized."""
 
-    def __init__(self, particle, address):
-        where = address.rendered if address is not None else "<unknown>"
-        super().__init__(
-            f"particle {particle} has a non-finite log-weight; "
-            f"first non-finite log_p - log_q at {where}"
-        )
+    def __init__(self, particle, address, term):
+        where = f"{term} at {address.rendered}" if address is not None else "term at <unknown>"
+        super().__init__(f"particle {particle} has a non-finite log-weight; first non-finite {where}")
         self.particle = particle
         self.address = address
 

@@ -33,23 +33,11 @@ class SuccessionGraph:
         self.edges[key] = self.edges.get(key, 0) + 1
         self.n_traces += 1
 
-    def merge(self, other):
-        """Associative combination; merging per-shard graphs equals the
-        sequential build."""
-        self.nodes |= other.nodes
-        for key, count in other.edges.items():
-            self.edges[key] = self.edges.get(key, 0) + count
-        self.n_traces += other.n_traces
-        return self
-
     def out_degree(self, node):
         return sum(c for (a, _), c in self.edges.items() if a == node)
 
     def in_degree(self, node):
         return sum(c for (_, b), c in self.edges.items() if b == node)
-
-    def successors(self, node):
-        return sorted(b for (a, b) in self.edges if a == node)
 
 
 def _dot_quote(name):

@@ -13,10 +13,12 @@ encoder runs once on the stacked observations, the trunk once on the
 (entries, trunk inputs) matrix, each head once on the rows of its address,
 and the family NLL gradients come vectorised from the per-family proposal
 table in distributions. Training is plain SGD with global-norm gradient
-clipping on fresh Record-mode batches each step, so the simulator itself is
-the (infinite) training set. All randomness derives from the master seed:
-stream (0,) initializes parameters, (1, i) drives the standardization and
-head-discovery simulations, (2, step, i) the training batches.
+clipping (at _GRAD_CLIP_NORM) on fresh Record-mode batches each step, so the
+simulator itself is the (infinite) training set. All randomness derives from
+the master seed: stream (0,) initializes parameters; runtime.run_batch with
+key (1,) runs the standardization and head-discovery simulations on streams
+(1, i), and with key (2, step) the training batch of each step on streams
+(2, step, i).
 """
 
 from __future__ import annotations
@@ -37,12 +39,15 @@ from .errors import (
     UnknownHead,
     VersionMismatch,
 )
-from .runtime import Mode, run_model
+from .runtime import Mode, derived_seed, run_batch
 
 NET_FORMAT_VERSION = 1
 
 _STD_FLOOR = 1e-6
 _N_STANDARDIZE = 1000
+_GRAD_CLIP_NORM = 10.0
+
+_derived_seed = derived_seed  # the name older callers import
 
 
 @dataclass(frozen=True)
@@ -83,9 +88,6 @@ class NetParams:
 
     def zeros_like(self):
         return NetParams({k: np.zeros_like(v) for k, v in self.arrays.items()})
-
-    def copy(self):
-        return NetParams({k: v.copy() for k, v in self.arrays.items()})
 
     def global_norm(self):
         return math.sqrt(sum(float(np.square(v).sum()) for v in self.arrays.values()))
@@ -265,34 +267,29 @@ class TrainingConfig:
     master_seed: int = 0
     batch_size: int = 64
     learning_rate: float = 1e-3
-    grad_clip_norm: float = 10.0
 
     def __post_init__(self):
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate <= 0 or self.grad_clip_norm <= 0:
-            raise ConfigError("learning_rate and grad_clip_norm must be positive")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive")
 
 
-def _derived_seed(master_seed, *key):
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
 
-
-def discover_architecture(model_spec, master_seed, n_sims=_N_STANDARDIZE,
-                          obs_embed_dim=32, addr_embed_dim=16, hidden_dim=64):
+def discover_architecture(model_spec, master_seed, n_sims=_N_STANDARDIZE):
     """Build the architecture and standardization from prior simulations.
 
     Runs n_sims Record-mode executions: their observe values give the
     per-cell standardization moments and their entries enumerate the heads.
+    The layer widths are NetArchitecture's defaults.
     """
     if n_sims < 2:
         raise ConfigError("n_sims must be >= 2")
     heads = {}
     obs_rows = []
-    for i in range(n_sims):
-        trace = run_model(model_spec.run, Mode.RECORD, _derived_seed(master_seed, 1, i))
+    for trace in run_batch(model_spec.run, Mode.RECORD, master_seed, n_sims, 1):
         obs_rows.append(_trace_obs_vector(trace))
         if obs_rows[-1].size != obs_rows[0].size:
             raise ConfigError(
@@ -308,42 +305,33 @@ def discover_architecture(model_spec, master_seed, n_sims=_N_STANDARDIZE,
         mean=matrix.mean(axis=0),
         std=np.maximum(matrix.std(axis=0), _STD_FLOOR),
     )
-    arch = NetArchitecture(
-        obs_dim=matrix.shape[1],
-        obs_embed_dim=obs_embed_dim,
-        addr_embed_dim=addr_embed_dim,
-        hidden_dim=hidden_dim,
-        heads=heads,
-    )
-    return arch, std
+    return NetArchitecture(obs_dim=matrix.shape[1], heads=heads), std
 
 
 def train(model_spec, config, arch=None, standardization=None, on_step=None):
     """SGD training loop; returns the trained ProposalNetwork.
 
-    Each step draws a fresh batch of Record-mode traces with seeds derived
-    from (master_seed, step, index), so the same config always produces
-    bitwise-identical parameters.
+    Each step draws a fresh batch of Record-mode traces from run_batch with
+    key (2, step), so the same config always produces bitwise-identical
+    parameters.
     """
     if arch is None or standardization is None:
         disc_arch, disc_std = discover_architecture(model_spec, config.master_seed)
         arch = arch or disc_arch
         standardization = standardization or disc_std
-    params = glorot_init(arch, _derived_seed(config.master_seed, 0))
+    params = glorot_init(arch, derived_seed(config.master_seed, 0))
     net = ProposalNetwork(arch=arch, params=params, standardization=standardization)
     for step in range(config.steps):
-        batch = [
-            run_model(model_spec.run, Mode.RECORD, _derived_seed(config.master_seed, 2, step, i))
-            for i in range(config.batch_size)
-        ]
+        batch = list(run_batch(model_spec.run, Mode.RECORD, config.master_seed,
+                               config.batch_size, 2, step))
         loss, grad = _loss_and_grad(net, batch, want_grad=True)
         if not math.isfinite(loss):
             raise NonFiniteLoss(step)
         norm = grad.global_norm()
         if not math.isfinite(norm):
             raise NonFiniteLoss(step, "gradient is not finite")
-        if norm > config.grad_clip_norm:
-            grad.scale(config.grad_clip_norm / norm)
+        if norm > _GRAD_CLIP_NORM:
+            grad.scale(_GRAD_CLIP_NORM / norm)
         params.add_scaled(grad, -config.learning_rate)
         if not params.all_finite():
             raise NonFiniteLoss(step, "parameters became non-finite")

@@ -1,4 +1,5 @@
-"""Model execution: the three statements, modes, and rejection scopes.
+"""Model execution: the three statements, modes, seeded batches, and
+rejection scopes.
 
 A model is a callable taking an ExecutionContext and speaking through three
 statements: ctx.sample draws a latent, ctx.observe conditions on data,
@@ -12,9 +13,14 @@ three modes:
   guided  conditioned run; latents are drawn from proposal distributions and
           every draw contributes log_p - log_q to the trace weight
 
-Every mode appends (scope_id, retries) to trace.scope_executions as each
-rejection scope exits, inner scopes before the scope that holds them.
+A sample statement draws from the prior unless guided and appends one
+TraceEntry. Every mode appends (scope_id, retries) to trace.scope_executions
+as each rejection scope exits, inner scopes before the scope that holds them.
 
+run_model executes a model once and sets its trace's log_weight. run_batch
+yields n executions one at a time, run i seeded by
+derived_seed(master_seed, *key, i); inference, trace generation,
+architecture discovery and training batches all draw their runs from it.
 Latent draws consume RNG stream 0 of the execution seed and synthetic
 observations stream 1, so prior and guided executions with the same seed see
 identical latent randomness.
@@ -39,7 +45,7 @@ from .errors import (
     ScopeUnderflow,
     SimpplError,
 )
-from .trace import AddressTable, ObserveEntry, Trace, TraceEntry
+from .trace import AddressTable, ObserveEntry, Trace, TraceEntry, trace_log_weight
 
 
 class Mode(str, enum.Enum):
@@ -97,61 +103,42 @@ class ExecutionContext:
         addr = self.counters.extend(self._path, site_id, prior.family)
         self._last_address = addr
         scope = self._scopes[-1] if self._scopes else None
-        entries = self.trace.entries
-        if self.mode is Mode.GUIDED:
-            proposal = None
-            if scope is not None:
-                key = addr.head_key
-                occ = scope.occ.get(key, 0)
-                scope.occ[key] = occ + 1
-                cache_key = (key, occ)
-                proposal = scope.cached.get(cache_key)
-            if proposal is None:
-                if self.proposal_source is not None:
-                    prev = float(entries[-1].value) if entries else 0.0
-                    proposal = self.proposal_source.proposal_for(addr, prev, prior)
-                    if proposal is None:
-                        self.proposal_fallbacks += 1
-                        proposal = prior
-                else:
-                    proposal = prior
-                if scope is not None and scope.iteration == 0:
-                    scope.cached[cache_key] = proposal
-            value = proposal.sample(self.rng)
-            log_p = prior.log_prob(value)
-            log_q = log_p if proposal is prior else proposal.log_prob(value)
-            entries.append(
-                TraceEntry(
-                    addr,
-                    prior.params,
-                    value,
-                    log_p,
-                    log_q,
-                    scope.scope_id if scope else None,
-                    scope.iteration if scope else 0,
-                )
-            )
-        else:
-            value = prior.sample(self.rng)
-            log_p = prior.log_prob(value)
-            if self.mode is Mode.RECORD:
-                # committed Record entries are rebased to iteration 0: after
-                # rollback the trace reads as a single accepted pass
-                iteration = 0
-            else:
-                iteration = scope.iteration if scope else 0
-            entries.append(
-                TraceEntry(
-                    addr,
-                    prior.params,
-                    value,
-                    log_p,
-                    log_p,
-                    scope.scope_id if scope else None,
-                    iteration,
-                )
-            )
+        proposal = self._proposal(addr, prior, scope) if self.mode is Mode.GUIDED else prior
+        value = proposal.sample(self.rng)
+        log_p = prior.log_prob(value)
+        log_q = log_p if proposal is prior else proposal.log_prob(value)
+        # committed Record entries are rebased to iteration 0: after rollback
+        # the trace reads as a single accepted pass
+        iteration = scope.iteration if scope and self.mode is not Mode.RECORD else 0
+        self.trace.entries.append(
+            TraceEntry(addr, prior.params, value, log_p, log_q,
+                       scope.scope_id if scope else None, iteration)
+        )
         return value
+
+    def _proposal(self, addr, prior, scope):
+        """Guided proposal at addr: inside a scope, the one chosen for the same
+        (head key, occurrence) in its first iteration; otherwise the proposal
+        source's, falling back to the prior when it has none."""
+        if scope is not None:
+            key = addr.head_key
+            occ = scope.occ.get(key, 0)
+            scope.occ[key] = occ + 1
+            cache_key = (key, occ)
+            cached = scope.cached.get(cache_key)
+            if cached is not None:
+                return cached
+        proposal = prior
+        if self.proposal_source is not None:
+            entries = self.trace.entries
+            prev = float(entries[-1].value) if entries else 0.0
+            proposal = self.proposal_source.proposal_for(addr, prev, prior)
+            if proposal is None:
+                self.proposal_fallbacks += 1
+                proposal = prior
+        if scope is not None and scope.iteration == 0:
+            scope.cached[cache_key] = proposal
+        return proposal
 
     def observe(self, site_id, dist, value=None):
         """Condition on a value; in prior/record mode a None value is drawn
@@ -293,8 +280,23 @@ class FixedProposal:
         return entry(prior) if callable(entry) else entry
 
 
+def derived_seed(master_seed, *key):
+    """Seed of the RNG stream at `key` under master_seed."""
+    return np.random.SeedSequence(entropy=master_seed, spawn_key=key)
+
+
+def run_batch(model, mode, master_seed, n, *key, observation=None, proposal_source=None):
+    """Yield n executions in order, one at a time: run i is seeded by
+    derived_seed(master_seed, *key, i) and carries trace_id i."""
+    for i in range(n):
+        trace = run_model(model, mode, derived_seed(master_seed, *key, i),
+                          observation=observation, proposal_source=proposal_source)
+        trace.trace_id = i
+        yield trace
+
+
 def run_model(model, mode, seed, observation=None, proposal_source=None):
-    """Execute a model once and return its finalized trace.
+    """Execute a model once and return its trace, log_weight set.
 
     Exceptions raised by the model body are wrapped in ModelExecutionError
     carrying the address of the last successful statement; instrumentation
@@ -313,4 +315,5 @@ def run_model(model, mode, seed, observation=None, proposal_source=None):
         raise ScopeError(f"model exited with open scope(s): {open_ids}")
     trace = ctx.trace
     trace.proposal_fallbacks = ctx.proposal_fallbacks
-    return trace.finalize()
+    trace.log_weight = trace_log_weight(trace)
+    return trace

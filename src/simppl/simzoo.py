@@ -354,7 +354,7 @@ def _midpoints(lo, hi, n):
     return lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
 
 
-def _tau_channel_scan(cfg, obs, channel, bounds, n, chunk=8192):
+def _tau_channel_scan(cfg, obs, channel, bounds, n):
     """Evaluate the log integrand on an n^3 midpoint grid; returns the grid
     axes and the full log-integrand array of shape (n, n, n)."""
     (p_lo, p_hi), (t_lo, t_hi), (f_lo, f_hi) = bounds
@@ -366,11 +366,9 @@ def _tau_channel_scan(cfg, obs, channel, bounds, n, chunk=8192):
     flat_t = tg.ravel()
     flat_f = fg.ravel()
     out = np.empty(flat_p.size)
-    for start in range(0, flat_p.size, chunk):
-        stop = min(start + chunk, flat_p.size)
-        out[start:stop] = _tau_log_integrand(
-            cfg, obs, channel, flat_p[start:stop], flat_t[start:stop], flat_f[start:stop]
-        )
+    for start in range(0, flat_p.size, 8192):  # bounds the integrand's temporaries
+        part = slice(start, start + 8192)
+        out[part] = _tau_log_integrand(cfg, obs, channel, flat_p[part], flat_t[part], flat_f[part])
     return (ps, ts, fs), out.reshape(n, n, n)
 
 

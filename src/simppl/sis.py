@@ -1,8 +1,8 @@
 """Sequential importance sampling over model executions.
 
-Particles are independent guided executions, run one after another; particle
-i uses the RNG stream derived from (master_seed, i), so results depend only on
-(master_seed, n_particles).
+Particles are independent guided executions from runtime.run_batch with an
+empty key: particle i runs on derived_seed(master_seed, i), so results depend
+only on (master_seed, n_particles).
 """
 
 from __future__ import annotations
@@ -13,12 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllWeightsZero, ConfigError, MissingPredict, NonFiniteWeight, SimpplError
-from .runtime import Mode, run_model
+from .runtime import Mode, derived_seed, run_batch
 
-
-def particle_seed(master_seed, index):
-    """Deterministic per-particle seed stream."""
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
+particle_seed = derived_seed  # particle i's seed is particle_seed(master_seed, i)
 
 
 @dataclass
@@ -26,7 +23,6 @@ class ParticleSet:
     traces: list
     log_weights: np.ndarray
     weights: np.ndarray | None = None
-    normalized: bool = False
 
     def normalize(self):
         """Exponentiate shifted log-weights and normalize to sum 1.
@@ -37,29 +33,27 @@ class ParticleSet:
         bad = np.isnan(lw) | (lw == math.inf)
         if bad.any():
             i = int(bad.argmax())
-            raise NonFiniteWeight(i, _first_non_finite_term(self.traces, i))
+            raise NonFiniteWeight(i, *_first_non_finite_term(self.traces, i))
         finite = lw[np.isfinite(lw)]
         if finite.size == 0:
             raise AllWeightsZero(_first_zero_observe(self.traces))
         w = np.exp(lw - finite.max())
         w /= w.sum()
         self.weights = w
-        self.normalized = True
         return self
 
 
 def _first_non_finite_term(traces, index):
-    """Address of the first weight term of particle `index` that is not finite."""
-    if index >= len(traces):
-        return None
-    trace = traces[index]
-    for entry in trace.entries:
-        if not math.isfinite(entry.log_p - entry.log_q):
-            return entry.address
-    for obs in trace.observes:
-        if not math.isfinite(obs.log_likelihood):
-            return obs.address
-    return None
+    """(address, kind) of the first weight term of particle `index` that is
+    not finite, or (None, None)."""
+    if index < len(traces):
+        for entry in traces[index].entries:
+            if not math.isfinite(entry.log_p - entry.log_q):
+                return entry.address, "log_p - log_q"
+        for obs in traces[index].observes:
+            if not math.isfinite(obs.log_likelihood):
+                return obs.address, "observe log-likelihood"
+    return None, None
 
 
 def _first_zero_observe(traces):
@@ -72,7 +66,7 @@ def _first_zero_observe(traces):
 
 def effective_sample_size(particles):
     """ESS = 1 / sum of squared normalized weights."""
-    if not particles.normalized:
+    if particles.weights is None:
         raise SimpplError("particle set is not normalized")
     return float(1.0 / np.square(particles.weights).sum())
 
@@ -86,19 +80,8 @@ def sis_infer(model, observation, n_particles, proposal_source=None, master_seed
         raise ConfigError("n_particles must be >= 1")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-
-    def one(index):
-        trace = run_model(
-            model,
-            Mode.GUIDED,
-            particle_seed(master_seed, index),
-            observation=observation,
-            proposal_source=proposal_source,
-        )
-        trace.trace_id = index
-        return trace
-
-    traces = [one(i) for i in range(n_particles)]
+    traces = list(run_batch(model, Mode.GUIDED, master_seed, n_particles,
+                            observation=observation, proposal_source=proposal_source))
     log_weights = np.array([t.log_weight for t in traces], dtype=float)
     return ParticleSet(traces=traces, log_weights=log_weights).normalize()
 
@@ -112,8 +95,7 @@ def posterior_summary(particles, name):
     Integer-valued predicts produce a normalized histogram; real-valued ones
     produce mean, variance, and 5/50/95 weighted quantiles.
     """
-    if not particles.normalized:
-        raise SimpplError("particle set is not normalized")
+    ess = effective_sample_size(particles)
     values = []
     for trace in particles.traces:
         try:
@@ -121,7 +103,6 @@ def posterior_summary(particles, name):
         except KeyError:
             raise MissingPredict(f"trace {trace.trace_id} has no predict {name!r}") from None
     w = particles.weights
-    ess = effective_sample_size(particles)
     base = {"predict": name, "ess": ess, "n_particles": len(values)}
 
     if all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):

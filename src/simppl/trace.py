@@ -192,17 +192,11 @@ class Trace:
     log_weight: float = 0.0
     trace_id: int = 0
     proposal_fallbacks: int = 0
-    finalized: bool = False
 
     @property
     def length(self):
         """Number of sample entries; observes do not count."""
         return len(self.entries)
-
-    def finalize(self):
-        self.log_weight = trace_log_weight(self)
-        self.finalized = True
-        return self
 
 
 def trace_log_weight(trace):
@@ -257,7 +251,6 @@ def obj_to_trace(obj):
         scope_executions=[tuple(p) for p in scopes],
         log_weight=obj["log_weight"],
         trace_id=obj["trace_id"],
-        finalized=True,
     )
     for e in obj["entries"]:
         addr = parse_address(e["addr"])
@@ -284,15 +277,11 @@ def trace_to_line(trace):
     return json.dumps(trace_to_obj(trace), separators=(",", ":"))
 
 
-def write_traces(path_or_file, traces):
-    """Write traces as JSONL, one object per line."""
-    if hasattr(path_or_file, "write"):
+def write_traces(path, traces):
+    """Write traces to path as JSONL, one object per line."""
+    with open(path, "w") as fh:
         for t in traces:
-            path_or_file.write(trace_to_line(t) + "\n")
-    else:
-        with open(path_or_file, "w") as fh:
-            for t in traces:
-                fh.write(trace_to_line(t) + "\n")
+            fh.write(trace_to_line(t) + "\n")
 
 
 def iter_traces(path):

@@ -1,4 +1,6 @@
 import json
+import math
+import os
 import subprocess
 import sys
 
@@ -307,6 +309,33 @@ def test_infer_rejects_wrong_value_keys(tmp_path, capsys):
                    "--out", str(tmp_path / "o.json")])
     assert rc == 2
     assert "do not fit" in capsys.readouterr().err
+
+
+TAU_NET = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "benchmark", "inputs", "tau_net.json")
+
+
+def _tau_cells_with_nan_at(index):
+    obs, _ = make_observation("tau_decay_toy", 3)
+    obs["cells"][index] = math.nan
+    return {"cells": obs["cells"]}
+
+
+@pytest.mark.parametrize("model, values, net, where", [
+    ("gaussian_unknown_mean", {"y": math.nan}, None, "observation y is not finite: nan"),
+    ("rejection_demo", {"y": math.inf}, None, "observation y is not finite: inf"),
+    ("tau_decay_toy", None, TAU_NET, "observation cells[17] is not finite: nan"),
+])
+def test_infer_rejects_non_finite_observation(tmp_path, capsys, model, values, net, where):
+    if values is None:
+        values = _tau_cells_with_nan_at(17)
+    obs = write_observation(tmp_path / "obs.json", model, values)
+    argv = ["infer", "--model", model, "--observation", obs, "--particles", "10",
+            "--seed", "1", "--out", str(tmp_path / "o.json")]
+    rc = cli.main(argv + (["--net", net] if net else []))
+    assert rc == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_infer_rejects_malformed_observation_json(tmp_path, capsys):

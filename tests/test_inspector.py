@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from simppl import simzoo
 from simppl.distributions import Normal
@@ -116,19 +115,6 @@ def test_edge_counts_sum_to_entries_plus_traces():
     g = graph_of(traces)
     total_entries = sum(len(t.entries) for t in traces)
     assert sum(g.edges.values()) == total_entries + 100
-
-
-@settings(max_examples=30, deadline=None)
-@given(split=st.integers(min_value=0, max_value=60))
-def test_merge_matches_sequential_build(split):
-    traces = prior_traces(GAUSSIAN, 30) + prior_traces(REJECTION, 30)
-    left = graph_of(traces[:split])
-    right = graph_of(traces[split:])
-    merged = left.merge(right)
-    whole = graph_of(traces)
-    assert merged.nodes == whole.nodes
-    assert merged.edges == whole.edges
-    assert merged.n_traces == whole.n_traces
 
 
 # ---------------------------------------------------------------------------

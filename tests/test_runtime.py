@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simppl import simzoo
+from simppl import net, simzoo, sis
 from simppl.distributions import Normal, ScaledBeta, Uniform
 from simppl.errors import (
     AddressFamilyMismatch,
@@ -18,7 +18,14 @@ from simppl.errors import (
     ScopeError,
     ScopeUnderflow,
 )
-from simppl.runtime import ExecutionContext, FixedProposal, Mode, run_model
+from simppl.runtime import (
+    ExecutionContext,
+    FixedProposal,
+    Mode,
+    derived_seed,
+    run_batch,
+    run_model,
+)
 from simppl.trace import obj_to_trace, trace_log_weight, trace_to_line
 
 REJECTION = simzoo.get_model("rejection_demo").run
@@ -78,6 +85,37 @@ def test_gaussian_prior_trace_shape():
     assert len(tr.observes) == 1
     assert set(tr.predicts) == {"mu"}
     assert tr.length == 1
+
+
+# ---------------------------------------------------------------------------
+# seeded batches
+
+
+def test_run_batch_seeds_run_i_from_the_key():
+    batch = list(run_batch(REJECTION, Mode.RECORD, 5, 4, 2, 7))
+    assert [t.trace_id for t in batch] == [0, 1, 2, 3]
+    for i, trace in enumerate(batch):
+        alone = run_model(REJECTION, Mode.RECORD, derived_seed(5, 2, 7, i))
+        alone.trace_id = i
+        assert trace_to_line(trace) == trace_to_line(alone)
+
+
+def test_run_batch_runs_lazily():
+    calls = []
+
+    def model(ctx):
+        calls.append(ctx.sample("x", Normal(0.0, 1.0)))
+
+    batch = run_batch(model, Mode.PRIOR, 0, 1000)
+    assert calls == []
+    next(batch)
+    assert len(calls) == 1
+
+
+def test_one_seed_function_under_every_name():
+    assert sis.particle_seed is derived_seed
+    assert net._derived_seed is derived_seed
+    assert derived_seed(3, 1, 4).spawn_key == (1, 4)
 
 
 # ---------------------------------------------------------------------------

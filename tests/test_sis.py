@@ -14,7 +14,7 @@ from simppl.sis import (
     posterior_summary,
     sis_infer,
 )
-from simppl.trace import Trace, trace_to_line
+from simppl.trace import Trace, trace_log_weight, trace_to_line
 
 GAUSSIAN = simzoo.get_model("gaussian_unknown_mean").run
 
@@ -118,14 +118,18 @@ def test_boundary_draws_are_clamped_into_the_support():
 def test_mixed_finite_and_inf_log_weights_raise():
     traces = [run_model(GAUSSIAN, Mode.GUIDED, i, observation={"y": 0.5}) for i in range(4)]
     traces[2].entries[0].log_q = -math.inf
-    for t in traces:
-        t.finalize()
-    log_weights = [t.log_weight for t in traces]
+    log_weights = [trace_log_weight(t) for t in traces]
     assert math.isinf(log_weights[2]) and all(map(math.isfinite, log_weights[:2]))
-    with pytest.raises(NonFiniteWeight) as err:
+    with pytest.raises(NonFiniteWeight, match="non-finite log_p - log_q at mu:Normal#0") as err:
         ParticleSet(traces, np.asarray(log_weights)).normalize()
     assert err.value.particle == 2
     assert err.value.address.rendered == "mu:Normal#0"
+
+
+def test_nan_observation_names_the_observe_likelihood():
+    with pytest.raises(NonFiniteWeight,
+                       match="particle 0 .* non-finite observe log-likelihood at y:Normal#0"):
+        sis_infer(GAUSSIAN, {"y": math.nan}, 4)
 
 
 def test_nan_log_weight_raises_without_traces():

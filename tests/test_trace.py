@@ -171,7 +171,6 @@ def sample_trace():
     t.predicts["u"] = 0.25
     t.scope_executions = [("disc", 1)]
     t.log_weight = -1.49
-    t.finalized = True
     return t
 
 
