@@ -43,7 +43,6 @@ _SEED = _int_at_least(0, "seed")
 _COUNT = _int_at_least(0, "count")
 _PARTICLES = _int_at_least(1, "particles")
 _THREADS = _int_at_least(1, "threads")
-_THREADS_HELP = "accepted for compatibility; every command runs sequentially"
 
 
 def _build_parser():
@@ -59,7 +58,6 @@ def _build_parser():
     gen.add_argument("--seed", type=_SEED, required=True)
     gen.add_argument("--mode", choices=["prior", "record"], default="prior")
     gen.add_argument("--out", required=True, help="output JSONL path")
-    gen.add_argument("--threads", type=_THREADS, default=1, help=_THREADS_HELP)
 
     tr = sub.add_parser("train", help="train a proposal network on prior runs")
     tr.add_argument("--model", required=True)
@@ -68,7 +66,6 @@ def _build_parser():
     tr.add_argument("--net-out", required=True, help="output network JSON path")
     tr.add_argument("--batch-size", type=int, default=64)
     tr.add_argument("--lr", type=float, default=1e-3)
-    tr.add_argument("--threads", type=_THREADS, default=1, help=_THREADS_HELP)
 
     inf = sub.add_parser("infer", help="guided SIS posterior for an observation")
     inf.add_argument("--model", required=True)
@@ -77,7 +74,6 @@ def _build_parser():
     inf.add_argument("--particles", type=_PARTICLES, required=True)
     inf.add_argument("--seed", type=_SEED, required=True)
     inf.add_argument("--out", required=True, help="output summary JSON path")
-    inf.add_argument("--threads", type=_THREADS, default=1, help=_THREADS_HELP)
 
     ins = sub.add_parser("inspect", help="succession graph, stats, and hotspots")
     ins.add_argument("--traces", required=True, help="input JSONL path")
@@ -85,7 +81,9 @@ def _build_parser():
     ins.add_argument("--stats-out", required=True, help="output stats JSON path")
     ins.add_argument("--threshold", type=float, default=1.5,
                      help="mean occurrences per trace above which an address is hot")
-    ins.add_argument("--threads", type=_THREADS, default=1, help=_THREADS_HELP)
+    for command in (gen, tr, inf, ins):
+        command.add_argument("--threads", type=_THREADS, default=1,
+                             help="accepted for compatibility; every command runs sequentially")
     return parser
 
 
@@ -95,7 +93,7 @@ def _load_json(path, what):
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
         raise ConfigError(f"malformed {what} JSON at {path}: {exc}") from exc
 
 
@@ -221,10 +219,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SimpplError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SimpplError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,11 +7,18 @@ holds one row per prior family: the constraint map (identity for locations,
 softplus for scales/rates, softmax for simplex weights), the proposal, and
 -log q with its gradient over (n, dim) raw arrays. Proposals sample inside
 supports that cover the matching priors', which keeps importance weights finite.
+
+A family subclasses _Family and lists its parameters in __slots__, in the
+order of its constructor's arguments; _Family derives params, equality,
+hashing and repr from them. Each family defines __init__ and log_prob on its
+own class, not on a shared base, because the benchmark's tracer wraps them
+per class.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from scipy.special import digamma, expit, gammaln
@@ -51,6 +58,19 @@ def _check_finite(name, value):
     return float(value)
 
 
+def _check_positive(name, value):
+    if not (value > 0 and math.isfinite(value)):
+        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def _check_interval(lo, hi):
+    lo_f, hi_f = _check_finite("lo", lo), _check_finite("hi", hi)
+    if not lo_f < hi_f:
+        raise ParameterError(f"need lo < hi, got ({lo!r}, {hi!r})")
+    return lo_f, hi_f
+
+
 def _is_integral(value):
     if isinstance(value, bool):
         return False
@@ -59,26 +79,17 @@ def _is_integral(value):
     return isinstance(value, float) and value.is_integer()
 
 
-class Normal:
-    family = "Normal"
-    __slots__ = ("mu", "sigma")
+class _Family:
+    """params is the tuple of the __slots__ values, read by one attrgetter per
+    class (params is read at every sample statement); equality, hashing and
+    repr follow from the family and params."""
 
-    def __init__(self, mu, sigma):
-        self.mu = _check_finite("mu", mu)
-        if not (sigma > 0 and math.isfinite(sigma)):
-            raise ParameterError(f"sigma must be positive and finite, got {sigma!r}")
-        self.sigma = float(sigma)
+    __slots__ = ()
 
-    @property
-    def params(self):
-        return (self.mu, self.sigma)
-
-    def sample(self, rng):
-        return float(rng.normal(self.mu, self.sigma))
-
-    def log_prob(self, value):
-        z = (value - self.mu) / self.sigma
-        return -0.5 * z * z - math.log(self.sigma) - 0.5 * _LOG_2PI
+    def __init_subclass__(cls):
+        if "params" not in cls.__dict__:  # Categorical's params are its probs tuple
+            get = operator.attrgetter(*cls.__slots__)
+            cls.params = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
 
     def __eq__(self, other):
         return type(other) is type(self) and other.params == self.params
@@ -88,6 +99,22 @@ class Normal:
 
     def __repr__(self):
         return f"{type(self).__name__}{self.params}"
+
+
+class Normal(_Family):
+    family = "Normal"
+    __slots__ = ("mu", "sigma")
+
+    def __init__(self, mu, sigma):
+        self.mu = _check_finite("mu", mu)
+        self.sigma = _check_positive("sigma", sigma)
+
+    def sample(self, rng):
+        return float(rng.normal(self.mu, self.sigma))
+
+    def log_prob(self, value):
+        z = (value - self.mu) / self.sigma
+        return -0.5 * z * z - math.log(self.sigma) - 0.5 * _LOG_2PI
 
 
 def normal_log_probs(x, mu, sigma):
@@ -101,19 +128,12 @@ def normal_log_probs(x, mu, sigma):
     return -0.5 * z * z - log_sigma - 0.5 * _LOG_2PI
 
 
-class Uniform:
+class Uniform(_Family):
     family = "Uniform"
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        self.lo = _check_finite("lo", lo)
-        self.hi = _check_finite("hi", hi)
-        if not self.lo < self.hi:
-            raise ParameterError(f"need lo < hi, got ({lo!r}, {hi!r})")
-
-    @property
-    def params(self):
-        return (self.lo, self.hi)
+        self.lo, self.hi = _check_interval(lo, hi)
 
     def sample(self, rng):
         return float(rng.uniform(self.lo, self.hi))
@@ -123,12 +143,8 @@ class Uniform:
             return -math.log(self.hi - self.lo)
         return _NEG_INF
 
-    __eq__ = Normal.__eq__
-    __hash__ = Normal.__hash__
-    __repr__ = Normal.__repr__
 
-
-class Categorical:
+class Categorical(_Family):
     """Distribution over indices 0..k-1 with explicit probabilities."""
 
     family = "Categorical"
@@ -172,23 +188,13 @@ class Categorical:
             return math.log(self.probs[i])
         return _NEG_INF
 
-    __eq__ = Normal.__eq__
-    __hash__ = Normal.__hash__
-    __repr__ = Normal.__repr__
 
-
-class Exponential:
+class Exponential(_Family):
     family = "Exponential"
     __slots__ = ("rate",)
 
     def __init__(self, rate):
-        if not (rate > 0 and math.isfinite(rate)):
-            raise ParameterError(f"rate must be positive and finite, got {rate!r}")
-        self.rate = float(rate)
-
-    @property
-    def params(self):
-        return (self.rate,)
+        self.rate = _check_positive("rate", rate)
 
     def sample(self, rng):
         return float(rng.exponential(1.0 / self.rate))
@@ -198,23 +204,13 @@ class Exponential:
             return _NEG_INF
         return math.log(self.rate) - self.rate * value
 
-    __eq__ = Normal.__eq__
-    __hash__ = Normal.__hash__
-    __repr__ = Normal.__repr__
 
-
-class Poisson:
+class Poisson(_Family):
     family = "Poisson"
     __slots__ = ("rate",)
 
     def __init__(self, rate):
-        if not (rate > 0 and math.isfinite(rate)):
-            raise ParameterError(f"rate must be positive and finite, got {rate!r}")
-        self.rate = float(rate)
-
-    @property
-    def params(self):
-        return (self.rate,)
+        self.rate = _check_positive("rate", rate)
 
     def sample(self, rng):
         return int(rng.poisson(self.rate))
@@ -225,12 +221,8 @@ class Poisson:
         k = int(value)
         return k * math.log(self.rate) - self.rate - math.lgamma(k + 1)
 
-    __eq__ = Normal.__eq__
-    __hash__ = Normal.__hash__
-    __repr__ = Normal.__repr__
 
-
-class ScaledBeta:
+class ScaledBeta(_Family):
     """Beta distribution rescaled to an interval; proposal family for Uniform."""
 
     family = "ScaledBeta"
@@ -239,16 +231,9 @@ class ScaledBeta:
     def __init__(self, alpha, beta, lo, hi):
         if not (alpha > 0 and beta > 0 and math.isfinite(alpha) and math.isfinite(beta)):
             raise ParameterError(f"need positive finite shapes, got ({alpha!r}, {beta!r})")
-        self.lo = _check_finite("lo", lo)
-        self.hi = _check_finite("hi", hi)
-        if not self.lo < self.hi:
-            raise ParameterError(f"need lo < hi, got ({lo!r}, {hi!r})")
+        self.lo, self.hi = _check_interval(lo, hi)
         self.alpha = float(alpha)
         self.beta = float(beta)
-
-    @property
-    def params(self):
-        return (self.alpha, self.beta, self.lo, self.hi)
 
     def sample(self, rng):
         width = self.hi - self.lo
@@ -277,12 +262,8 @@ class ScaledBeta:
             - math.log(width)
         )
 
-    __eq__ = Normal.__eq__
-    __hash__ = Normal.__hash__
-    __repr__ = Normal.__repr__
 
-
-class LogNormal:
+class LogNormal(_Family):
     """Proposal family for Exponential priors; support (0, inf)."""
 
     family = "LogNormal"
@@ -290,13 +271,7 @@ class LogNormal:
 
     def __init__(self, mu, sigma):
         self.mu = _check_finite("mu", mu)
-        if not (sigma > 0 and math.isfinite(sigma)):
-            raise ParameterError(f"sigma must be positive and finite, got {sigma!r}")
-        self.sigma = float(sigma)
-
-    @property
-    def params(self):
-        return (self.mu, self.sigma)
+        self.sigma = _check_positive("sigma", sigma)
 
     def sample(self, rng):
         x = float(rng.lognormal(self.mu, self.sigma))
@@ -308,10 +283,6 @@ class LogNormal:
         lx = math.log(value)
         z = (lx - self.mu) / self.sigma
         return -0.5 * z * z - lx - math.log(self.sigma) - 0.5 * _LOG_2PI
-
-    __eq__ = Normal.__eq__
-    __hash__ = Normal.__hash__
-    __repr__ = Normal.__repr__
 
 
 FAMILIES = {

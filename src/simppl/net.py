@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -126,25 +126,35 @@ class Standardization:
         return (obs - self.mean) / self.std
 
 
+def _param_shapes(arch):
+    """Name -> shape of every parameter array, heads in sorted key order."""
+    shapes = {
+        "obs_W": (arch.obs_embed_dim, arch.obs_dim),
+        "obs_b": (arch.obs_embed_dim,),
+        "trunk_W": (arch.hidden_dim, arch.trunk_in_dim),
+        "trunk_b": (arch.hidden_dim,),
+    }
+    for key in sorted(arch.heads):
+        out_dim = arch.heads[key].out_dim
+        shapes[f"embed::{key}"] = (arch.addr_embed_dim,)
+        shapes[f"head_W::{key}"] = (out_dim, arch.hidden_dim)
+        shapes[f"head_b::{key}"] = (out_dim,)
+    return shapes
+
+
 def glorot_init(arch, seed):
-    """Uniform(+-sqrt(6/(fan_in+fan_out))) for encoder/trunk/embeddings,
-    zeros for heads so initial proposals are each family's neutral member."""
+    """Uniform(+-sqrt(6/(fan_in+fan_out))) for the weight matrices and address
+    embeddings (a vector counts as fan-in 1), drawn in _param_shapes order;
+    zeros for biases and heads, so initial proposals are each family's
+    neutral member."""
     rng = np.random.default_rng(seed)
     arrays = {}
-
-    def uniform(shape, fan_in, fan_out):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape)
-
-    arrays["obs_W"] = uniform((arch.obs_embed_dim, arch.obs_dim), arch.obs_dim, arch.obs_embed_dim)
-    arrays["obs_b"] = np.zeros(arch.obs_embed_dim)
-    arrays["trunk_W"] = uniform((arch.hidden_dim, arch.trunk_in_dim), arch.trunk_in_dim, arch.hidden_dim)
-    arrays["trunk_b"] = np.zeros(arch.hidden_dim)
-    for key in sorted(arch.heads):
-        head = arch.heads[key]
-        arrays[f"embed::{key}"] = uniform((arch.addr_embed_dim,), 1, arch.addr_embed_dim)
-        arrays[f"head_W::{key}"] = np.zeros((head.out_dim, arch.hidden_dim))
-        arrays[f"head_b::{key}"] = np.zeros(head.out_dim)
+    for name, shape in _param_shapes(arch).items():
+        if name in ("obs_W", "trunk_W") or name.startswith("embed::"):
+            limit = math.sqrt(6.0 / (sum(shape) + (len(shape) == 1)))
+            arrays[name] = rng.uniform(-limit, limit, size=shape)
+        else:
+            arrays[name] = np.zeros(shape)
     return NetParams(arrays)
 
 
@@ -167,6 +177,9 @@ class ProposalNetwork:
             raise DimensionMismatch(
                 f"observation has shape {obs_vec.shape}, expected ({self.arch.obs_dim},)"
             )
+        bad = np.flatnonzero(~np.isfinite(obs_vec))
+        if bad.size:
+            raise ConfigError(f"observation cell {bad[0]} is not finite: {obs_vec[bad[0]]}")
         a = self.params.arrays
         return np.tanh(a["obs_W"] @ self.standardization.apply(obs_vec) + a["obs_b"])
 
@@ -367,16 +380,7 @@ class TrainedProposal:
 def save_net(net, path):
     obj = {
         "version": NET_FORMAT_VERSION,
-        "arch": {
-            "obs_dim": net.arch.obs_dim,
-            "obs_embed_dim": net.arch.obs_embed_dim,
-            "addr_embed_dim": net.arch.addr_embed_dim,
-            "hidden_dim": net.arch.hidden_dim,
-            "heads": {
-                key: {"family": head.family, "out_dim": head.out_dim}
-                for key, head in net.arch.heads.items()
-            },
-        },
+        "arch": asdict(net.arch),
         "standardization": {
             "mean": net.standardization.mean.tolist(),
             "std": net.standardization.std.tolist(),
@@ -426,18 +430,8 @@ def load_net(path):
 
 def _check_shapes(net):
     arch = net.arch
-    expected = {
-        "obs_W": (arch.obs_embed_dim, arch.obs_dim),
-        "obs_b": (arch.obs_embed_dim,),
-        "trunk_W": (arch.hidden_dim, arch.trunk_in_dim),
-        "trunk_b": (arch.hidden_dim,),
-    }
-    for key, head in arch.heads.items():
-        expected[f"embed::{key}"] = (arch.addr_embed_dim,)
-        expected[f"head_W::{key}"] = (head.out_dim, arch.hidden_dim)
-        expected[f"head_b::{key}"] = (head.out_dim,)
     actual = {k: v.shape for k, v in net.params.arrays.items()}
-    if actual != expected:
+    if actual != _param_shapes(arch):
         raise ValueError("parameter arrays do not match the architecture")
     if net.standardization.mean.shape != (arch.obs_dim,) or net.standardization.std.shape != (
         arch.obs_dim,

@@ -14,6 +14,7 @@ the sampling engine; none of them share code with the inference path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -159,16 +160,11 @@ class TauToyConfig:
 
 DEFAULT_TAU_CONFIG = TauToyConfig()
 
-_SITE_ID_CACHE = {}
 
-
+@functools.cache
 def _cell_site_ids(grid):
-    ids = _SITE_ID_CACHE.get(grid)
-    if ids is None:
-        d, x, y = grid
-        ids = tuple(f"cal_{i}_{j}_{k}" for i in range(d) for j in range(x) for k in range(y))
-        _SITE_ID_CACHE[grid] = ids
-    return ids
+    d, x, y = grid
+    return tuple(f"cal_{i}_{j}_{k}" for i in range(d) for j in range(x) for k in range(y))
 
 
 def _axis_weights(n, center, sigma):

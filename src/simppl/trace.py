@@ -12,6 +12,7 @@ form parseable.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,10 +20,6 @@ from dataclasses import dataclass, field
 from .errors import AddressFamilyMismatch, MalformedTrace, ParameterError
 
 _SITE_FORBIDDEN = frozenset("/:#")
-
-# The same few hundred addresses recur across every trace of a model; interning
-# keeps large particle sets from holding millions of identical objects.
-_INTERN: dict = {}
 
 
 class Address:
@@ -49,12 +46,11 @@ class Address:
         return f"Address({self.rendered!r})"
 
 
-def intern_address(path, family_tag, instance):
-    key = (path, family_tag, instance)
-    addr = _INTERN.get(key)
-    if addr is None:
-        addr = _INTERN[key] = Address(path, family_tag, instance)
-    return addr
+# The same few hundred addresses recur across every trace of a model; interning
+# keeps large particle sets from holding millions of identical objects. Callers
+# pass (path tuple, family tag, instance) positionally, so equal addresses share
+# one cache key.
+intern_address = functools.cache(Address)
 
 
 def parse_address(text):
@@ -105,10 +101,7 @@ class AddressTable:
         the table is filled in one update from a per-(parent path, site ids,
         family) cache; otherwise each site goes through `extend`.
         """
-        key = (parent_path, site_ids, family_tag)
-        cached = _BULK.get(key)
-        if cached is None:
-            cached = _BULK.setdefault(key, _bulk_entry(parent_path, site_ids, family_tag))
+        cached = _bulk_entry(parent_path, site_ids, family_tag)
         if cached and self._slots.keys().isdisjoint(cached[0].keys()):
             self._slots.update(cached[0])
             return cached[1]
@@ -121,12 +114,6 @@ class AddressTable:
         self._slots = dict(snap)
 
 
-# (parent path, site ids, family) -> ({path: (family, 1)}, instance-0
-# addresses), or () when a site repeats; shared by every AddressTable like
-# the intern table above.
-_BULK: dict = {}
-
-
 def _check_site_id(site_id):
     if not site_id or not _SITE_FORBIDDEN.isdisjoint(site_id):
         raise ParameterError(
@@ -134,7 +121,9 @@ def _check_site_id(site_id):
         )
 
 
+@functools.cache  # shared by every AddressTable, like intern_address
 def _bulk_entry(parent_path, site_ids, family_tag):
+    """({path: (family, 1)}, instance-0 addresses), or () when a site repeats."""
     for site_id in site_ids:
         _check_site_id(site_id)
     paths = [parent_path + (s,) for s in site_ids]

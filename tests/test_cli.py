@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from simppl import cli
+from simppl import cli, simzoo
 from simppl.net import load_net
+from simppl.runtime import Mode, run_batch
+from simppl.trace import trace_to_line
 from simppl.simzoo import TauToyConfig, make_observation
 
 SMALL_TAU = TauToyConfig(
@@ -340,11 +346,13 @@ def test_infer_rejects_non_finite_observation(tmp_path, capsys, model, values, n
 
 def test_infer_rejects_malformed_observation_json(tmp_path, capsys):
     path = tmp_path / "obs.json"
-    path.write_text("{not json")
-    rc = cli.main(["infer", "--model", "gaussian_unknown_mean",
-                   "--observation", str(path), "--particles", "10",
-                   "--seed", "1", "--out", str(tmp_path / "o.json")])
-    assert rc == 2
+    for content in (b"{not json", b"\x80"):  # bad syntax, then bytes that are not UTF-8
+        path.write_bytes(content)
+        rc = cli.main(["infer", "--model", "gaussian_unknown_mean",
+                       "--observation", str(path), "--particles", "10",
+                       "--seed", "1", "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: malformed observation JSON")
 
 
 def test_inspect_malformed_trace_line_is_runtime_failure(tmp_path, capsys):
@@ -392,6 +400,73 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# drawn command-line inputs
+
+_TRACE_LINES = [trace_to_line(t) for t in run_batch(
+    simzoo.get_model("rejection_demo").run, Mode.PRIOR, 3, 3)]
+
+
+def _non_finite(line, field, value):
+    obj = json.loads(line)
+    if field == "value" and obj["entries"]:
+        obj["entries"][0]["value"] = value
+    else:
+        obj[field] = value
+    return json.dumps(obj)
+
+
+# counts stay small so that a valid draw runs quickly; a seed may be huge
+_BAD_INT = st.sampled_from(["", "x", "1.5", "1e3", "0x10"])
+_COUNT_TEXT = st.one_of(st.integers(-1, 12).map(str), _BAD_INT)
+_SEED_TEXT = st.one_of(st.integers(-1, 12).map(str), st.just(str(2**64)), _BAD_INT)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_TRACES = st.one_of(
+    st.just("\n".join(_TRACE_LINES) + "\n"),
+    st.integers(1, 300).map(lambda k: "\n".join(_TRACE_LINES)[:k]),
+    st.builds(_non_finite, st.sampled_from(_TRACE_LINES),
+              st.sampled_from(["log_weight", "trace_id", "value"]), _NON_FINITE),
+)
+# y drawn from every float, NaN, infinities and overflowing magnitudes included
+_OBSERVATION = st.floats().map(
+    lambda y: json.dumps({"model": "gaussian_unknown_mean", "values": {"y": y}}))
+_PAYLOADS = {
+    "generate": st.just(""),
+    "infer": st.one_of(_OBSERVATION,
+                       st.builds(lambda text, k: text[:k], _OBSERVATION, st.integers(0, 40))),
+    "inspect": _TRACES,
+}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(sorted(_PAYLOADS)), count=_COUNT_TEXT, seed=_SEED_TEXT,
+       data=st.data())
+def test_drawn_inputs_exit_0_1_or_2_with_an_error_line(command, count, seed, data):
+    payload = data.draw(st.one_of(_PAYLOADS[command].map(str.encode), st.binary(max_size=40)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "input"), os.path.join(tmp, "out")
+        with open(path, "wb") as fh:
+            fh.write(payload)
+        argv = {
+            "generate": ["generate", "--model", "rejection_demo", "--n", count,
+                         "--seed", seed, "--out", out],
+            "infer": ["infer", "--model", "gaussian_unknown_mean", "--observation", path,
+                      "--particles", count, "--seed", seed, "--out", out],
+            "inspect": ["inspect", "--traces", path, "--dot-out", out,
+                        "--stats-out", out + ".json"],
+        }[command]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                assert exc.code == 2
+                rc = exc.code
+    assert rc in (0, 1, 2)
+    if rc:
+        assert any("error:" in line for line in stderr.getvalue().splitlines())
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from simppl.distributions import (
     Normal,
     Poisson,
     ScaledBeta,
+    FAMILIES,
     Uniform,
     from_params,
     normal_log_probs,
@@ -399,8 +400,20 @@ def test_nll_outside_the_proposal_support_is_inf(prior, raw, value):
     assert grad.shape == (len(raw),)
 
 
-def test_from_params_roundtrip():
-    d = from_params("Normal", (1.0, 2.0))
-    assert isinstance(d, Normal) and d.params == (1.0, 2.0)
+EXAMPLE_PARAMS = {
+    "Normal": (1.0, 2.0), "Uniform": (-1.0, 3.0), "Categorical": (0.25, 0.75),
+    "Exponential": (0.5,), "Poisson": (3.0,), "ScaledBeta": (2.0, 3.0, -1.0, 1.0),
+    "LogNormal": (0.5, 1.5),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_from_params_roundtrip(family):
+    d = from_params(family, EXAMPLE_PARAMS[family])
+    assert type(d) is FAMILIES[family] and d.params == EXAMPLE_PARAMS[family]
+    rebuilt = from_params(d.family, d.params)
+    assert rebuilt == d and hash(rebuilt) == hash(d)
+    assert repr(rebuilt) == f"{d.family}{d.params}"
+    assert Normal(0, 1) != LogNormal(0, 1)
     with pytest.raises(ParameterError):
         from_params("NoSuchFamily", (1.0,))

@@ -5,9 +5,10 @@ These hashes pin prior and record traces of every bundled model, guided
 rejection_demo traces under a biased proposal (the per-scope proposal cache
 and prior fallbacks), guided tau_decay_toy log-weights with the committed
 benchmark network, the heads and standardization found by
-discover_architecture, and the stdout and file bytes of a fixed
-generate/inspect/infer sequence. Trained network bytes are left out: their
-last bits depend on summation order.
+discover_architecture, the initial network parameters, the saved bytes of
+networks after a few training steps, and the stdout and file bytes of a
+fixed generate/inspect/infer sequence. The trained bytes depend on the
+summation order of the gradient; a change that reorders it says so.
 
 After a deliberate change, print the new hashes with
 `PYTHONPATH=src python tests/test_golden.py` and say why they moved.
@@ -55,6 +56,10 @@ GOLDEN = {
         "19d22862e73f1c980f32a8a6b81a65e62eb5921dfe5c30198f23d7f1ebe59fb3",
     "cli":
         "c24b7426cc76ae0ca5a8aa500c822ac6df8173b5af63e63bbdeb964ce5b05877",
+    "init":
+        "283f9c490dcf28b4596ae11fd5fe2092065bf10ccc3eb97fdebb9288a6cfd9ad",
+    "train":
+        "77c0f14af3cddbedbf64d6f246d880275ce647aec0263a7bcfb16145c068c2f9",
 }
 
 
@@ -114,6 +119,35 @@ def discover_digest():
     for model in ("rejection_demo", "tau_decay_toy"):
         arch, std = net.discover_architecture(simzoo.get_model(model), 6, n_sims=40)
         parts += [repr(sorted(arch.heads.items())), std.mean.tobytes(), std.std.tobytes()]
+    return _sha(parts)
+
+
+def _small_arch(model):
+    return net.discover_architecture(simzoo.get_model(model), 6, n_sims=40)
+
+
+def init_digest():
+    """glorot_init parameters, in name order, for two discovered architectures."""
+    parts = []
+    for model in ("rejection_demo", "tau_decay_toy"):
+        params = net.glorot_init(_small_arch(model)[0], 11)
+        for name in params.names():
+            parts += [name, repr(params.arrays[name].shape), params.arrays[name].tobytes()]
+    return _sha(parts)
+
+
+def train_digest(tmp):
+    """save_net bytes after a few SGD steps from a fresh init."""
+    parts = []
+    for model, steps in (("rejection_demo", 8), ("tau_decay_toy", 4)):
+        arch, std = _small_arch(model)
+        config = net.TrainingConfig(steps=steps, master_seed=5, batch_size=8,
+                                    learning_rate=1e-2)
+        trained = net.train(simzoo.get_model(model), config, arch=arch, standardization=std)
+        path = os.path.join(tmp, f"{model}.json")
+        net.save_net(trained, path)
+        with open(path, "rb") as fh:
+            parts.append(fh.read())
     return _sha(parts)
 
 
@@ -181,6 +215,14 @@ def test_discovered_architecture_matches_golden():
     assert discover_digest() == GOLDEN["discover"]
 
 
+def test_initial_params_match_golden():
+    assert init_digest() == GOLDEN["init"]
+
+
+def test_trained_network_bytes_match_golden(tmp_path):
+    assert train_digest(str(tmp_path)) == GOLDEN["train"]
+
+
 def test_cli_sequence_matches_golden(tmp_path):
     assert cli_digest(str(tmp_path)) == GOLDEN["cli"]
 
@@ -191,7 +233,9 @@ def current_digests():
     out["guided-rejection"] = guided_rejection_digest()
     out["guided-tau"] = guided_tau_digest()
     out["discover"] = discover_digest()
+    out["init"] = init_digest()
     with tempfile.TemporaryDirectory() as tmp:
+        out["train"] = train_digest(tmp)
         out["cli"] = cli_digest(tmp)
     return out
 

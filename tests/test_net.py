@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -40,9 +41,11 @@ from simppl.net import (
     train,
 )
 from simppl.runtime import Mode, run_model
-from simppl.sis import particle_seed
+from simppl.sis import particle_seed, sis_infer
 from simppl.trace import iter_traces, write_traces
 
+INPUTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "benchmark", "inputs")
 GAUSSIAN = simzoo.get_model("gaussian_unknown_mean")
 TAU = simzoo.get_model("tau_decay_toy")
 
@@ -150,6 +153,18 @@ def test_encode_obs_checks_dimension():
     net = gaussian_net()
     with pytest.raises(DimensionMismatch):
         net.encode_obs(np.asarray([1.0, 2.0]))
+
+
+def test_guided_tau_rejects_a_non_finite_cell_by_index():
+    # before any particle runs, and not as an unaddressed ParameterError later
+    with open(os.path.join(INPUTS, "tau_observations.json")) as fh:
+        cells = json.load(fh)["observations"][0]["cells"]
+    cells[17] = math.nan
+    obs = {"cells": cells}
+    with pytest.raises(ConfigError, match=r"observation cell 17 is not finite: nan"):
+        sis_infer(TAU.run, obs, 10,
+                  TrainedProposal(load_net(os.path.join(INPUTS, "tau_net.json")),
+                                  TAU.obs_to_vector(obs)))
 
 
 def test_loss_with_head_frozen_to_prior_equals_prior_nll():
