@@ -7,8 +7,11 @@ and prior fallbacks), guided tau_decay_toy log-weights with the committed
 benchmark network, the heads and standardization found by
 discover_architecture, the initial network parameters, the saved bytes of
 networks after a few training steps, and the stdout and file bytes of a
-fixed generate/inspect/infer sequence. The trained bytes depend on the
-summation order of the gradient; a change that reorders it says so.
+fixed generate/inspect/infer sequence. They also pin each bundled model's
+observation JSON, the rejection_demo and gaussian_unknown_mean oracles, and
+a non-default tau config read back through get_model. The trained bytes
+depend on the summation order of the gradient; a change that reorders it
+says so.
 
 After a deliberate change, print the new hashes with
 `PYTHONPATH=src python tests/test_golden.py` and say why they moved.
@@ -60,6 +63,8 @@ GOLDEN = {
         "283f9c490dcf28b4596ae11fd5fe2092065bf10ccc3eb97fdebb9288a6cfd9ad",
     "train":
         "77c0f14af3cddbedbf64d6f246d880275ce647aec0263a7bcfb16145c068c2f9",
+    "models":
+        "a59f315e95f8d261c6d4645e6a08f9d09e1a2672ad51ff476cedaad5f5f38366",
 }
 
 
@@ -151,6 +156,19 @@ def train_digest(tmp):
     return _sha(parts)
 
 
+def models_digest():
+    """Observation JSON of every model, two oracles and a tau config round trip."""
+    parts = [json.dumps(simzoo.make_observation(name, 3), sort_keys=True)
+             for name in simzoo.MODEL_NAMES]
+    for name, y in (("gaussian_unknown_mean", 0.7), ("rejection_demo", 0.3)):
+        parts.append(json.dumps(simzoo.oracle_posterior(name, {"y": y}, 96), sort_keys=True))
+    config = {"n_channels": 2, "channel_prior": [0.4, 0.6], "grid": [2, 3, 3],
+              "depth_profiles": [[0.8, 0.2], [0.3, 0.7]], "channel_kinds": ["em", "had"],
+              "theta_max": 0.3, "spot_sigma": 1.1}
+    parts.append(json.dumps(simzoo.get_model("tau_decay_toy", config).config.to_dict()))
+    return _sha(parts)
+
+
 def cli_digest(tmp):
     """Exit code, stdout and output files of a fixed command sequence."""
 
@@ -227,6 +245,10 @@ def test_cli_sequence_matches_golden(tmp_path):
     assert cli_digest(str(tmp_path)) == GOLDEN["cli"]
 
 
+def test_model_table_outputs_match_golden():
+    assert models_digest() == GOLDEN["models"]
+
+
 def current_digests():
     out = {f"{model}-{mode.value}": traces_digest(model, mode)
            for model in sorted(RUNS) for mode in (Mode.PRIOR, Mode.RECORD)}
@@ -234,6 +256,7 @@ def current_digests():
     out["guided-tau"] = guided_tau_digest()
     out["discover"] = discover_digest()
     out["init"] = init_digest()
+    out["models"] = models_digest()
     with tempfile.TemporaryDirectory() as tmp:
         out["train"] = train_digest(tmp)
         out["cli"] = cli_digest(tmp)
