@@ -64,8 +64,8 @@ def _build_parser():
     tr.add_argument("--steps", type=int, required=True)
     tr.add_argument("--seed", type=_SEED, required=True)
     tr.add_argument("--net-out", required=True, help="output network JSON path")
-    tr.add_argument("--batch-size", type=int, default=64)
-    tr.add_argument("--lr", type=float, default=1e-3)
+    tr.add_argument("--batch-size", type=int, default=net_mod.TrainingConfig.batch_size)
+    tr.add_argument("--lr", type=float, default=net_mod.TrainingConfig.learning_rate)
 
     inf = sub.add_parser("infer", help="guided SIS posterior for an observation")
     inf.add_argument("--model", required=True)

@@ -69,12 +69,16 @@ class ModelExecutionError(SimpplError):
         self.address = address
 
 
-class AllWeightsZero(SimpplError):
-    """Every particle weight underflowed to zero."""
+def _term_at(address, term):
+    return f"{term} at {address.rendered}" if address is not None else "term at <unknown>"
 
-    def __init__(self, first_zero_address):
-        where = first_zero_address.rendered if first_zero_address else "<unknown>"
-        super().__init__(f"all particle weights are zero; first -inf likelihood at {where}")
+
+class AllWeightsZero(SimpplError):
+    """Every particle weight underflowed to zero; names the first -inf term."""
+
+    def __init__(self, first_zero_address, term):
+        where = _term_at(first_zero_address, term)
+        super().__init__(f"all particle weights are zero; first -inf {where}")
         self.first_zero_address = first_zero_address
 
 
@@ -82,7 +86,7 @@ class NonFiniteWeight(SimpplError):
     """A particle's log-weight is +inf or NaN, so weights cannot be normalized."""
 
     def __init__(self, particle, address, term):
-        where = f"{term} at {address.rendered}" if address is not None else "term at <unknown>"
+        where = _term_at(address, term)
         super().__init__(f"particle {particle} has a non-finite log-weight; first non-finite {where}")
         self.particle = particle
         self.address = address

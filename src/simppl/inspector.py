@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .trace import parse_address
+
 START = "START"
 END = "END"
 
@@ -102,10 +104,6 @@ class TraceStats:
         }
 
 
-def _strip_instance(rendered):
-    return rendered.rsplit("#", 1)[0]
-
-
 def _simple_cycles(graph):
     """Enumerate simple cycles by DFS; each cycle is reported once, rooted at
     its lexicographically smallest node. Graphs here are small."""
@@ -139,7 +137,7 @@ def hotspot_report(stats, graph, threshold=1.5):
         raise ValueError("threshold must be > 1")
     pooled = {}
     for rendered, count in stats.address_counts.items():
-        key = _strip_instance(rendered)
+        key = parse_address(rendered).head_key
         pooled[key] = pooled.get(key, 0) + count
     hot = []
     if stats.n_traces:

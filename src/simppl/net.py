@@ -56,6 +56,9 @@ class HeadSpec:
     out_dim: int
 
 
+_ARCH_DIMS = ("obs_dim", "obs_embed_dim", "addr_embed_dim", "hidden_dim")
+
+
 @dataclass
 class NetArchitecture:
     obs_dim: int
@@ -65,7 +68,7 @@ class NetArchitecture:
     heads: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for dim in (self.obs_dim, self.obs_embed_dim, self.addr_embed_dim, self.hidden_dim):
+        for dim in (getattr(self, name) for name in _ARCH_DIMS):
             if dim < 1:
                 raise ConfigError(f"architecture dimensions must be >= 1, got {dim}")
         for key, head in self.heads.items():
@@ -409,13 +412,7 @@ def load_net(path):
             key: HeadSpec(h["family"], int(h["out_dim"]))
             for key, h in arch_obj["heads"].items()
         }
-        arch = NetArchitecture(
-            obs_dim=int(arch_obj["obs_dim"]),
-            obs_embed_dim=int(arch_obj["obs_embed_dim"]),
-            addr_embed_dim=int(arch_obj["addr_embed_dim"]),
-            hidden_dim=int(arch_obj["hidden_dim"]),
-            heads=heads,
-        )
+        arch = NetArchitecture(heads=heads, **{name: int(arch_obj[name]) for name in _ARCH_DIMS})
         std = Standardization(
             mean=np.asarray(obj["standardization"]["mean"], dtype=float),
             std=np.asarray(obj["standardization"]["std"], dtype=float),

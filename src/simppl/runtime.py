@@ -92,7 +92,6 @@ class ExecutionContext:
         self.proposal_source = proposal_source
         self.counters = AddressTable()
         self.trace = Trace()
-        self.proposal_fallbacks = 0
         self._path = ()
         self._scopes = []
         self._last_address = None
@@ -134,7 +133,7 @@ class ExecutionContext:
             prev = float(entries[-1].value) if entries else 0.0
             proposal = self.proposal_source.proposal_for(addr, prev, prior)
             if proposal is None:
-                self.proposal_fallbacks += 1
+                self.trace.proposal_fallbacks += 1
                 proposal = prior
         if scope is not None and scope.iteration == 0:
             scope.cached[cache_key] = proposal
@@ -146,11 +145,7 @@ class ExecutionContext:
         addr = self.counters.extend(self._path, site_id, dist.family)
         self._last_address = addr
         if value is None:
-            if self.mode is Mode.GUIDED:
-                raise ConfigError(
-                    f"observe at {addr.rendered} has no value; "
-                    "guided mode requires the observation to supply one"
-                )
+            self._check_unconditioned(addr)
             value = dist.sample(self.obs_rng)
         self.trace.observes.append(ObserveEntry(addr, dist.log_prob(value), value))
         return value
@@ -189,11 +184,7 @@ class ExecutionContext:
         addrs = self.counters.extend_many(self._path, site_ids, "Normal")
         self._last_address = addrs[-1]
         if values is None:
-            if self.mode is Mode.GUIDED:
-                raise ConfigError(
-                    f"observe at {addrs[0].rendered} has no value; "
-                    "guided mode requires the observation to supply one"
-                )
+            self._check_unconditioned(addrs[0])
             x = self.obs_rng.normal(mu, sigma)
             values = x.tolist()
         else:
@@ -203,6 +194,12 @@ class ExecutionContext:
         log_liks = normal_log_probs(x, mu, sigma).tolist()
         self.trace.observes.extend(map(ObserveEntry, addrs, log_liks, values))
         return values
+
+    def _check_unconditioned(self, addr):
+        """An observe at addr without a value is allowed outside guided mode."""
+        if self.mode is Mode.GUIDED:
+            raise ConfigError(f"observe at {addr.rendered} has no value; "
+                              "guided mode requires the observation to supply one")
 
     def _site_name(self, site_id):
         return "/".join(self._path + (site_id,))
@@ -243,7 +240,6 @@ class ExecutionContext:
             for entry in self.trace.entries[scope.entry_mark:]:
                 entry.accepted = False
             scope.entry_mark = len(self.trace.entries)
-            scope.observe_mark = len(self.trace.observes)
         scope.iteration += 1
         scope.occ.clear()
 
@@ -314,6 +310,5 @@ def run_model(model, mode, seed, observation=None, proposal_source=None):
         open_ids = ", ".join(s.scope_id for s in ctx._scopes)
         raise ScopeError(f"model exited with open scope(s): {open_ids}")
     trace = ctx.trace
-    trace.proposal_fallbacks = ctx.proposal_fallbacks
     trace.log_weight = trace_log_weight(trace)
     return trace

@@ -1,6 +1,8 @@
 """Bundled demonstration simulators and their ground-truth posterior oracles.
 
-Three models are registered by name:
+Three models are registered by name, each as one row of the _MODELS table
+(model body, spec builder, oracle) that get_model, oracle_posterior and
+MODEL_NAMES all read:
 
   gaussian_unknown_mean   conjugate sanity check with a closed-form posterior
   rejection_demo          uniform disc sampling via a rejection scope
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr
@@ -137,18 +139,12 @@ class TauToyConfig:
             raise ConfigInvalid("spot_sigma must be positive")
 
     def to_dict(self):
-        return {
-            "n_channels": self.n_channels,
-            "channel_prior": list(self.channel_prior),
-            "grid": list(self.grid),
-            "momentum_scale": self.momentum_scale,
-            "noise_sigma": self.noise_sigma,
-            "depth_profiles": [list(r) for r in self.depth_profiles],
-            "channel_kinds": list(self.channel_kinds),
-            "theta_max": self.theta_max,
-            "lever_arm": self.lever_arm,
-            "spot_sigma": self.spot_sigma,
-        }
+        """Every field in declaration order, tuples as (nested) lists."""
+
+        def plain(value):
+            return [plain(v) for v in value] if isinstance(value, tuple) else value
+
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, obj):
@@ -219,55 +215,51 @@ class ModelSpec:
     config: object = None
 
 
-def _scalar_obs_spec(name):
+def _scalar_spec(name, body, config):
+    if config is not None:
+        raise ConfigInvalid(f"{name} takes no config")
+    return ModelSpec(name, body, lambda obs: np.asarray([float(obs["y"])]),
+                     lambda values: {"model": name, "y": values[0]})
+
+
+def _tau_spec(name, body, config):
+    """Spec for config None (the default), a TauToyConfig or a dict of its fields."""
+    cfg = DEFAULT_TAU_CONFIG if config is None else config
+    if not isinstance(cfg, TauToyConfig):
+        cfg = TauToyConfig.from_dict(cfg)
+    n_cells = cfg.grid[0] * cfg.grid[1] * cfg.grid[2]
+
     def obs_to_vector(obs):
-        return np.asarray([float(obs["y"])])
+        cells = np.asarray(obs["cells"], dtype=float)
+        if cells.shape != (n_cells,):
+            raise ConfigInvalid(
+                f"observation has {cells.size} cells, config grid wants {n_cells}"
+            )
+        return cells
 
     def observation_from_values(values):
-        return {"model": name, "y": values[0]}
+        return {
+            "model": name,
+            "config": cfg.to_dict(),
+            "grid": list(cfg.grid),
+            "cells": [float(v) for v in values],
+        }
 
-    return obs_to_vector, observation_from_values
+    return ModelSpec(name, lambda ctx: body(ctx, cfg), obs_to_vector,
+                     observation_from_values, config=cfg)
+
+
+def _model_row(name):
+    try:
+        return _MODELS[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise UnsupportedModel(f"unknown model {name!r}") from None
 
 
 def get_model(name, config=None):
     """Look up a registered model; config applies to tau_decay_toy only."""
-    if name == "gaussian_unknown_mean" or name == "rejection_demo":
-        if config is not None:
-            raise ConfigInvalid(f"{name} takes no config")
-        run = gaussian_unknown_mean if name == "gaussian_unknown_mean" else rejection_demo
-        to_vec, from_vals = _scalar_obs_spec(name)
-        return ModelSpec(name, run, to_vec, from_vals)
-    if name == "tau_decay_toy":
-        if config is None:
-            cfg = DEFAULT_TAU_CONFIG
-        elif isinstance(config, TauToyConfig):
-            cfg = config
-        else:
-            cfg = TauToyConfig.from_dict(config)
-        n_cells = cfg.grid[0] * cfg.grid[1] * cfg.grid[2]
-
-        def obs_to_vector(obs):
-            cells = np.asarray(obs["cells"], dtype=float)
-            if cells.shape != (n_cells,):
-                raise ConfigInvalid(
-                    f"observation has {cells.size} cells, config grid wants {n_cells}"
-                )
-            return cells
-
-        def observation_from_values(values):
-            return {
-                "model": name,
-                "config": cfg.to_dict(),
-                "grid": list(cfg.grid),
-                "cells": [float(v) for v in values],
-            }
-
-        return ModelSpec(name, lambda ctx: tau_decay_toy(ctx, cfg), obs_to_vector,
-                         observation_from_values, config=cfg)
-    raise UnsupportedModel(f"unknown model {name!r}")
-
-
-MODEL_NAMES = ("gaussian_unknown_mean", "rejection_demo", "tau_decay_toy")
+    body, build_spec, _ = _model_row(name)
+    return build_spec(name, body, config)
 
 
 def make_observation(name, seed, config=None):
@@ -286,7 +278,7 @@ def make_observation(name, seed, config=None):
 # oracles
 
 
-def _gaussian_oracle(observation):
+def _gaussian_oracle(observation, resolution):
     y = float(observation["y"])
     return {
         "mu": {"predict": "mu", "kind": "real", "mean": y / 2.0, "var": 0.5},
@@ -384,13 +376,11 @@ def _shrink_bounds(axes, logpost, bounds, margin=40.0):
     return new_bounds
 
 
-def _tau_oracle(cfg, observation, resolution):
+def _tau_oracle(observation, resolution):
+    spec = get_model("tau_decay_toy", observation.get("config") or None)
+    cfg, obs = spec.config, spec.obs_to_vector(observation)
     res_fine = resolution or 64
     res_coarse = 48
-    obs = np.asarray(observation["cells"], dtype=float)
-    n_cells = cfg.grid[0] * cfg.grid[1] * cfg.grid[2]
-    if obs.shape != (n_cells,):
-        raise ConfigInvalid(f"observation has {obs.size} cells, config grid wants {n_cells}")
     p_max = 8.0 * cfg.momentum_scale
     full_bounds = [(0.0, p_max), (0.0, cfg.theta_max), (-math.pi, math.pi)]
 
@@ -450,12 +440,15 @@ def oracle_posterior(name, observation, resolution=None):
     two-pass (locate, then refine) 3-D midpoint quadrature per channel;
     `resolution` sets the fine-pass points per dimension.
     """
-    if name == "gaussian_unknown_mean":
-        return _gaussian_oracle(observation)
-    if name == "rejection_demo":
-        return _rejection_oracle(observation, resolution)
-    if name == "tau_decay_toy":
-        cfg_obj = observation.get("config")
-        cfg = TauToyConfig.from_dict(cfg_obj) if cfg_obj else DEFAULT_TAU_CONFIG
-        return _tau_oracle(cfg, observation, resolution)
-    raise UnsupportedModel(f"unknown model {name!r}")
+    return _model_row(name)[2](observation, resolution)
+
+
+# name -> (model body, spec builder, oracle)
+_MODELS = {
+    "gaussian_unknown_mean": (gaussian_unknown_mean, _scalar_spec, _gaussian_oracle),
+    "rejection_demo": (rejection_demo, _scalar_spec, _rejection_oracle),
+    # looked up at each run, so a wrapper set on the module attribute sees every call
+    "tau_decay_toy": (lambda ctx, cfg: tau_decay_toy(ctx, cfg), _tau_spec, _tau_oracle),
+}
+
+MODEL_NAMES = tuple(_MODELS)

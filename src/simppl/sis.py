@@ -33,35 +33,28 @@ class ParticleSet:
         bad = np.isnan(lw) | (lw == math.inf)
         if bad.any():
             i = int(bad.argmax())
-            raise NonFiniteWeight(i, *_first_non_finite_term(self.traces, i))
+            raise NonFiniteWeight(i, *_first_term(self.traces[i:i + 1],
+                                                  lambda t: not math.isfinite(t)))
         finite = lw[np.isfinite(lw)]
         if finite.size == 0:
-            raise AllWeightsZero(_first_zero_observe(self.traces))
+            raise AllWeightsZero(*_first_term(self.traces, lambda t: t == -math.inf))
         w = np.exp(lw - finite.max())
         w /= w.sum()
         self.weights = w
         return self
 
 
-def _first_non_finite_term(traces, index):
-    """(address, kind) of the first weight term of particle `index` that is
-    not finite, or (None, None)."""
-    if index < len(traces):
-        for entry in traces[index].entries:
-            if not math.isfinite(entry.log_p - entry.log_q):
+def _first_term(traces, predicate):
+    """(address, kind) of the first weight term for which predicate holds,
+    each trace's sample entries before its observes, or (None, None)."""
+    for trace in traces:
+        for entry in trace.entries:
+            if predicate(entry.log_p - entry.log_q):
                 return entry.address, "log_p - log_q"
-        for obs in traces[index].observes:
-            if not math.isfinite(obs.log_likelihood):
+        for obs in trace.observes:
+            if predicate(obs.log_likelihood):
                 return obs.address, "observe log-likelihood"
     return None, None
-
-
-def _first_zero_observe(traces):
-    for trace in traces:
-        for obs in trace.observes:
-            if obs.log_likelihood == -math.inf:
-                return obs.address
-    return None
 
 
 def effective_sample_size(particles):

@@ -23,18 +23,14 @@ _SITE_FORBIDDEN = frozenset("/:#")
 
 
 class Address:
-    __slots__ = ("path", "family_tag", "instance", "rendered")
+    __slots__ = ("path", "family_tag", "instance", "head_key", "rendered")
 
     def __init__(self, path, family_tag, instance):
         self.path = tuple(path)
         self.family_tag = family_tag
         self.instance = instance
-        self.rendered = "/".join(self.path) + ":" + family_tag + "#" + str(instance)
-
-    @property
-    def head_key(self):
-        """Rendered form with the instance counter stripped."""
-        return "/".join(self.path) + ":" + self.family_tag
+        self.head_key = "/".join(self.path) + ":" + family_tag  # rendered without "#instance"
+        self.rendered = self.head_key + "#" + str(instance)
 
     def __eq__(self, other):
         return isinstance(other, Address) and self.rendered == other.rendered
@@ -229,6 +225,8 @@ def trace_to_obj(trace):
 
 
 def obj_to_trace(obj):
+    if type(obj["trace_id"]) is not int or obj["trace_id"] < 0:
+        raise ValueError(f"trace_id must be an int >= 0, got {obj['trace_id']!r}")
     scopes = obj["scopes"]
     if not isinstance(scopes, list) or not all(
         isinstance(p, (list, tuple)) and len(p) == 2 and isinstance(p[0], str)
@@ -273,6 +271,15 @@ def write_traces(path, traces):
             fh.write(trace_to_line(t) + "\n")
 
 
+def _reject_constant(name):
+    if name != "-Infinity":  # -Infinity is the log of a zero weight or likelihood
+        raise ValueError(f"{name} is not a valid trace number")
+    return -math.inf
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def iter_traces(path):
     """Yield traces from a UTF-8 JSONL file; raises MalformedTrace with the
     line number."""
@@ -282,7 +289,7 @@ def iter_traces(path):
                 continue
             try:
                 # UnicodeDecodeError is a ValueError
-                trace = obj_to_trace(json.loads(line.decode("utf-8")))
+                trace = obj_to_trace(_DECODER.decode(line.decode("utf-8")))
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise MalformedTrace(line_no, str(exc)) from exc
             yield trace

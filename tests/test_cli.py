@@ -367,6 +367,20 @@ def test_inspect_malformed_trace_line_is_runtime_failure(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, constant", [("trace_id", "Infinity"), ("log_weight", "NaN")])
+def test_inspect_non_finite_trace_number_is_runtime_failure(tmp_path, capsys, key, constant):
+    good = json.dumps({"trace_id": 0, "entries": [], "observes": [],
+                       "predicts": {}, "log_weight": 0.0, "scopes": []})
+    bad = json.dumps({**json.loads(good), key: "@"}).replace('"@"', constant)
+    traces = tmp_path / "bad.jsonl"
+    traces.write_text(good + "\n" + bad + "\n")
+    rc = cli.main(["inspect", "--traces", str(traces),
+                   "--dot-out", str(tmp_path / "g.dot"),
+                   "--stats-out", str(tmp_path / "s.json")])
+    assert rc == 1
+    assert "line 2" in capsys.readouterr().err
+
+
 def _gen(*opts):
     return lambda d: ["generate", "--model", "rejection_demo", "--out", str(d / "t.jsonl"), *opts]
 

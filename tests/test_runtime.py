@@ -149,7 +149,7 @@ def test_guided_observe_without_value_fails():
     def model(ctx):
         ctx.observe("y", Normal(0, 1), ctx.observed("missing"))
 
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="observe at y:Normal#0 has no value"):
         run_model(model, Mode.GUIDED, 1, observation={"y": 0.0})
 
 
@@ -545,6 +545,6 @@ def test_observe_normal_many_length_mismatch(mu_len, sigma_len, values_len, name
 
 def test_observe_normal_many_guided_requires_values():
     ctx = ExecutionContext(Mode.GUIDED, 1, observation={})
-    with pytest.raises(ConfigError, match="obs/c0:Normal#0"):
+    with pytest.raises(ConfigError, match="observe at obs/c0:Normal#0 has no value"):
         with ctx.rejection_scope("obs"):
             ctx.observe_normal_many(["c0", "c1"], [0.0, 1.0], [1.0, 1.0])

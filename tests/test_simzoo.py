@@ -48,6 +48,10 @@ def test_model_names_registered():
 def test_unknown_model_rejected():
     with pytest.raises(UnsupportedModel):
         get_model("nope")
+    with pytest.raises(UnsupportedModel):
+        get_model(["tau_decay_toy"])
+    with pytest.raises(ConfigInvalid, match="rejection_demo takes no config"):
+        get_model("rejection_demo", {})
 
 
 def test_config_only_for_tau():
@@ -318,3 +322,5 @@ def test_tau_oracle_self_convergence_in_resolution():
 def test_oracle_unknown_model_rejected():
     with pytest.raises(UnsupportedModel):
         oracle_posterior("nope", {})
+    with pytest.raises(UnsupportedModel):
+        oracle_posterior(["nope"], {})

@@ -87,7 +87,22 @@ def test_all_weights_zero_names_the_observe_address():
 
     with pytest.raises(AllWeightsZero) as err:
         sis_infer(model, {"y": 5.0}, 8, master_seed=1)
-    assert "inside:Uniform#0" in str(err.value)
+    assert "first -inf observe log-likelihood at inside:Uniform#0" in str(err.value)
+
+
+def test_all_weights_zero_names_a_sample_term_before_observes():
+    # every draw lands outside the prior's support, so log_p - log_q is -inf
+    # while the observe likelihood stays finite
+    def model(ctx):
+        x = ctx.sample("x", Uniform(0.0, 1.0))
+        ctx.observe("y", Normal(x, 1.0), ctx.observed("y"))
+        ctx.predict("x", x)
+
+    proposal = FixedProposal({"x:Uniform": Normal(5.0, 0.1)})
+    with pytest.raises(AllWeightsZero) as err:
+        sis_infer(model, {"y": 0.5}, 50, proposal, master_seed=1)
+    assert "first -inf log_p - log_q at x:Uniform#0" in str(err.value)
+    assert err.value.first_zero_address.rendered == "x:Uniform#0"
 
 
 def test_minus_inf_particles_tolerated_when_any_survive():

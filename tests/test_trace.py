@@ -243,6 +243,32 @@ def test_missing_or_malformed_scopes_are_malformed(tmp_path, scopes):
     assert "scopes" in str(err.value)
 
 
+@pytest.mark.parametrize("field, value", [("trace_id", "Infinity"), ("log_weight", "NaN"),
+                                          ("value", "Infinity"), ("trace_id", "-1"),
+                                          ("trace_id", "1.0"), ("trace_id", "true")])
+def test_non_finite_numbers_and_bad_trace_ids_are_malformed(tmp_path, field, value):
+    obj = trace_to_obj(sample_trace())
+    target = obj["entries"][0] if field == "value" else obj
+    target[field] = "@"
+    bad = json.dumps(obj).replace('"@"', value)
+    path = tmp_path / "traces.jsonl"
+    path.write_text(trace_to_line(sample_trace()) + "\n" + bad + "\n")
+    with pytest.raises(MalformedTrace) as err:
+        list(iter_traces(path))
+    assert err.value.line_no == 2
+
+
+def test_minus_infinity_log_weight_still_reads(tmp_path):
+    t = sample_trace()
+    t.observes[0].log_likelihood = -math.inf
+    t.log_weight = -math.inf
+    path = tmp_path / "traces.jsonl"
+    write_traces(path, [t])
+    (back,) = iter_traces(path)
+    assert back.log_weight == -math.inf
+    assert back.observes[0].log_likelihood == -math.inf
+
+
 def test_address_of_the_wrong_type_is_malformed(tmp_path):
     obj = trace_to_obj(sample_trace())
     obj["entries"][0]["addr"] = 5
