@@ -18,6 +18,10 @@ from simppl.trace import iter_traces, write_traces
 BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmark")
 
 
+def _target(owner, attr):
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
 def _tracer_module():
     sys.path.insert(0, BENCHMARK)
     try:
@@ -25,10 +29,6 @@ def _tracer_module():
     finally:
         sys.path.remove(BENCHMARK)
     return tracer
-
-
-def _target(owner, attr):
-    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
 
 
 def test_tracer_installs_over_every_hook_and_restores_the_originals():
@@ -46,16 +46,13 @@ def test_tracer_installs_over_every_hook_and_restores_the_originals():
 
 @pytest.mark.parametrize("name", simzoo.MODEL_NAMES)
 def test_trace_bytes_sizes_prior_record_and_guided_traces(name):
-    trace_bytes = _tracer_module().trace_bytes
     spec = simzoo.get_model(name)
-    for mode in (Mode.PRIOR, Mode.RECORD):
-        (trace,) = run_batch(spec.run, mode, 4, 1)
-        size = trace_bytes(trace)
-        assert type(size) is int and size > 0
     observation, _ = simzoo.make_observation(name, 4)
-    (trace,) = run_batch(spec.run, Mode.GUIDED, 4, 1, observation=observation)
-    size = trace_bytes(trace)
-    assert type(size) is int and size > 0
+    traces = [next(run_batch(spec.run, mode, 4, 1)) for mode in (Mode.PRIOR, Mode.RECORD)]
+    traces += run_batch(spec.run, Mode.GUIDED, 4, 1, observation=observation)
+    sizes = [_tracer_module().trace_bytes(t) for t in traces]
+    assert len(sizes) == 3
+    assert all(type(s) is int and s > 0 for s in sizes)
 
 
 def test_trace_bytes_sizes_a_trace_read_back_from_jsonl(tmp_path):
