@@ -99,10 +99,17 @@ def _load_json(path, what):
 
 def cmd_generate(args):
     spec = simzoo.get_model(args.model)
-    traces = list(run_batch(spec.run, Mode(args.mode), args.seed, args.n))
-    write_traces(args.out, traces)
-    mean_length = sum(t.length for t in traces) / len(traces) if traces else 0.0
-    print(json.dumps({"n": len(traces), "mean_length": mean_length}))
+    counts = [0, 0]  # traces and sample entries, counted as they stream to the file
+
+    def counted(traces):
+        for trace in traces:
+            counts[0] += 1
+            counts[1] += trace.length
+            yield trace
+
+    write_traces(args.out, counted(run_batch(spec.run, Mode(args.mode), args.seed, args.n)))
+    n, total = counts
+    print(json.dumps({"n": n, "mean_length": total / n if n else 0.0}))
     return 0
 
 

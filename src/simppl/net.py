@@ -196,10 +196,10 @@ class ProposalNetwork:
 
 
 def _trace_obs_vector(trace):
-    values = [o.value for o in trace.observes]
-    if None in values:
+    built, *blocks = trace.observe_values()
+    if None in built:
         raise SimpplError("trace carries no recorded observe values")
-    return np.asarray(values, dtype=float)
+    return np.concatenate([np.asarray(v, dtype=float) for v in (built, *blocks)])
 
 
 def _loss_and_grad(net, batch, want_grad):

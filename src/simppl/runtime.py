@@ -23,13 +23,16 @@ derived_seed(master_seed, *key, i); inference, trace generation,
 architecture discovery and training batches all draw their runs from it.
 Latent draws consume RNG stream 0 of the execution seed and synthetic
 observations stream 1, so prior and guided executions with the same seed see
-identical latent randomness.
+identical latent randomness; stream 1 is created on the first synthetic draw.
+Reusing one SeedSequence repeats the run: its spawn counter is not advanced.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,27 +57,15 @@ class Mode(str, enum.Enum):
     GUIDED = "guided"
 
 
+@dataclass(slots=True)
 class _ScopeState:
-    __slots__ = (
-        "scope_id",
-        "iteration",
-        "cached",
-        "occ",
-        "entry_mark",
-        "observe_mark",
-        "execution_mark",
-        "counter_snapshot",
-    )
-
-    def __init__(self, scope_id, trace, counter_snapshot):
-        self.scope_id = scope_id
-        self.iteration = 0
-        self.cached = {}
-        self.occ = {}
-        self.entry_mark = len(trace.entries)
-        self.observe_mark = len(trace.observes)
-        self.execution_mark = len(trace.scope_executions)
-        self.counter_snapshot = counter_snapshot
+    scope_id: str
+    entry_mark: int
+    execution_mark: int
+    rollback: tuple | None  # record mode only: (observe mark, counter snapshot)
+    iteration: int = 0
+    cached: dict = field(default_factory=dict)
+    occ: dict = field(default_factory=dict)
 
 
 class ExecutionContext:
@@ -85,9 +76,8 @@ class ExecutionContext:
         if self.mode is Mode.GUIDED and observation is None:
             raise ConfigError("guided mode requires an observation")
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        latent_ss, obs_ss = ss.spawn(2)
-        self.rng = np.random.default_rng(latent_ss)
-        self.obs_rng = np.random.default_rng(obs_ss)
+        self._seed = ss
+        self.rng = np.random.default_rng(_stream(ss, 0))
         self.observation = observation
         self.proposal_source = proposal_source
         self.counters = AddressTable()
@@ -95,6 +85,11 @@ class ExecutionContext:
         self._path = ()
         self._scopes = []
         self._last_address = None
+
+    @functools.cached_property
+    def obs_rng(self):
+        """RNG stream 1, built on the first synthetic observation draw."""
+        return np.random.default_rng(_stream(self._seed, 1))
 
     # -- statements ---------------------------------------------------------
 
@@ -156,7 +151,7 @@ class ExecutionContext:
         Same trace, weight and obs_rng state as calling
         observe(site_ids[i], Normal(mu[i], sigma[i]), values[i]) in order,
         with one draw for all sites when values is None (prior/record mode).
-        Returns the list of observed values.
+        Returns a new list of the observed values.
         """
         site_ids = tuple(site_ids)
         n = len(site_ids)
@@ -186,14 +181,14 @@ class ExecutionContext:
         if values is None:
             self._check_unconditioned(addrs[0])
             x = self.obs_rng.normal(mu, sigma)
-            values = x.tolist()
-        else:
-            # keep the caller's float objects, as float(v) does for a float
+            self.trace.add_observe_block(addrs, normal_log_probs(x, mu, sigma), x)
+            return x.tolist()
+        # the trace holds the caller's floats by reference and coerces other numbers
+        if set(map(type, values)) != {float}:
             values = [v if type(v) is float else float(v) for v in values]
-            x = np.array(values)
-        log_liks = normal_log_probs(x, mu, sigma).tolist()
-        self.trace.observes.extend(map(ObserveEntry, addrs, log_liks, values))
-        return values
+        x = np.array(values)
+        self.trace.add_observe_block(addrs, normal_log_probs(x, mu, sigma), values)
+        return list(values)
 
     def _check_unconditioned(self, addr):
         """An observe at addr without a value is allowed outside guided mode."""
@@ -220,8 +215,10 @@ class ExecutionContext:
     def scope_begin(self, scope_id):
         if any(s.scope_id == scope_id for s in self._scopes):
             raise NestedScopeReuse(f"scope {scope_id!r} is already active")
-        snapshot = self.counters.snapshot() if self.mode is Mode.RECORD else None
-        self._scopes.append(_ScopeState(scope_id, self.trace, snapshot))
+        t = self.trace
+        # only record mode rolls observes back; taking their mark builds pending blocks
+        rollback = (len(t.observes), self.counters.snapshot()) if self.mode is Mode.RECORD else None
+        self._scopes.append(_ScopeState(scope_id, len(t.entries), len(t.scope_executions), rollback))
         self._path = self._path + (scope_id,)
 
     def scope_retry(self):
@@ -232,10 +229,11 @@ class ExecutionContext:
             # discard the rejected iteration entirely (its inner scope
             # executions too, but not this scope's retry count); counters roll
             # back so the next iteration reuses the same instance numbers
+            observe_mark, snapshot = scope.rollback
             del self.trace.entries[scope.entry_mark:]
-            del self.trace.observes[scope.observe_mark:]
+            del self.trace.observes[observe_mark:]
             del self.trace.scope_executions[scope.execution_mark:]
-            self.counters.restore(scope.counter_snapshot)
+            self.counters.restore(snapshot)
         else:
             for entry in self.trace.entries[scope.entry_mark:]:
                 entry.accepted = False
@@ -274,6 +272,11 @@ class FixedProposal:
         if entry is None:
             return None
         return entry(prior) if callable(entry) else entry
+
+
+def _stream(ss, k):
+    """ss.spawn(2)[k] of a fresh ss, without advancing ss's spawn counter."""
+    return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (k,), pool_size=ss.pool_size)
 
 
 def derived_seed(master_seed, *key):

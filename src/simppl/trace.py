@@ -161,22 +161,42 @@ class ObserveEntry:
     value: object = None
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
     """One model execution.
 
     scope_executions holds (scope_id, retries) per rejection-scope execution
     in exit order; in record mode it keeps the retry counts of the iterations
     it rolled back, but not the inner scope executions they contained.
+
+    observe_normal_many adds one block (addresses, float64 log-likelihoods,
+    values); `observes` builds pending blocks' entries, in order, on first
+    read. Equality is identity: blocks hold arrays, and no code compares traces.
     """
 
     entries: list = field(default_factory=list)
-    observes: list = field(default_factory=list)
     predicts: dict = field(default_factory=dict)
     scope_executions: list = field(default_factory=list)
     log_weight: float = 0.0
     trace_id: int = 0
     proposal_fallbacks: int = 0
+    _observes: list = field(default_factory=list, init=False, repr=False)
+    _blocks: list = field(default_factory=list, init=False, repr=False)
+
+    @property
+    def observes(self):
+        for addrs, log_liks, values in self._blocks:
+            values = values.tolist() if hasattr(values, "tolist") else values  # a drawn array
+            self._observes.extend(map(ObserveEntry, addrs, log_liks.tolist(), values))
+        self._blocks.clear()
+        return self._observes
+
+    def add_observe_block(self, addresses, log_likelihoods, values):
+        self._blocks.append((addresses, log_likelihoods, values))
+
+    def observe_values(self):
+        """Built entries' values, then each pending block's, without building it."""
+        return [[o.value for o in self._observes]] + [b[2] for b in self._blocks]
 
     @property
     def length(self):
@@ -188,9 +208,12 @@ def trace_log_weight(trace):
     """log w = sum of observe log-likelihoods + sum over entries of log_p - log_q.
 
     Entries' densities are finite by construction; observe likelihoods may be
-    -inf, which propagates to a -inf weight (a zero-weight particle).
+    -inf, which propagates to a -inf weight (a zero-weight particle). Pending
+    observe blocks are read without building entries.
     """
-    terms = [o.log_likelihood for o in trace.observes]
+    terms = [o.log_likelihood for o in trace._observes]
+    for _, log_liks, _ in trace._blocks:
+        terms += log_liks.tolist()
     terms.extend(e.log_p - e.log_q for e in trace.entries)
     if -math.inf in terms:
         return -math.inf
@@ -224,39 +247,45 @@ def trace_to_obj(trace):
     }
 
 
-def obj_to_trace(obj):
-    if type(obj["trace_id"]) is not int or obj["trace_id"] < 0:
-        raise ValueError(f"trace_id must be an int >= 0, got {obj['trace_id']!r}")
-    scopes = obj["scopes"]
-    if not isinstance(scopes, list) or not all(
+_NUMBER = (lambda v: type(v) in (int, float), "a number")  # not bool; NaN, Infinity never decode
+_COUNT = (lambda v: type(v) is int and v >= 0, "an int >= 0")
+_FIELD_TYPES = {  # the JSONL fields obj_to_trace reads
+    "trace_id": _COUNT, "iteration": _COUNT, "log_weight": _NUMBER, "value": _NUMBER,
+    "log_p": _NUMBER, "log_q": _NUMBER, "log_likelihood": _NUMBER,
+    "params": (lambda v: type(v) is list and all(map(_NUMBER[0], v)), "a list of numbers"),
+    "scope_id": (lambda v: v is None or type(v) is str, "a string or null"),
+    "accepted": (lambda v: type(v) is bool, "a bool"),
+    "scopes": (lambda v: type(v) is list and all(
         isinstance(p, (list, tuple)) and len(p) == 2 and isinstance(p[0], str)
-        and type(p[1]) is int and p[1] >= 0 for p in scopes
-    ):
-        raise ValueError(f"scopes must be a list of [scope_id, retries >= 0], got {scopes!r}")
+        and type(p[1]) is int and p[1] >= 0 for p in v), "a list of [scope_id, retries >= 0]"),
+}
+_ENTRY_FIELDS = ("value", "log_p", "log_q", "scope_id", "iteration", "accepted")
+
+
+def _field(obj, key):
+    """obj[key], or ValueError when it is not of the key's JSONL type."""
+    value = obj[key]
+    ok, what = _FIELD_TYPES[key]
+    if not ok(value):
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def obj_to_trace(obj):
     trace = Trace(
         predicts=dict(obj["predicts"]),
-        scope_executions=[tuple(p) for p in scopes],
-        log_weight=obj["log_weight"],
-        trace_id=obj["trace_id"],
+        scope_executions=[tuple(p) for p in _field(obj, "scopes")],
+        log_weight=_field(obj, "log_weight"),
+        trace_id=_field(obj, "trace_id"),
     )
     for e in obj["entries"]:
         addr = parse_address(e["addr"])
         if addr.family_tag != e["family"]:
             raise ValueError(f"family field {e['family']!r} disagrees with {e['addr']!r}")
-        trace.entries.append(
-            TraceEntry(
-                address=addr,
-                params=tuple(e["params"]),
-                value=e["value"],
-                log_p=e["log_p"],
-                log_q=e["log_q"],
-                scope_id=e["scope_id"],
-                iteration=e["iteration"],
-                accepted=e["accepted"],
-            )
-        )
+        trace.entries.append(TraceEntry(addr, tuple(_field(e, "params")),
+                                        *[_field(e, key) for key in _ENTRY_FIELDS]))
     for o in obj["observes"]:
-        trace.observes.append(ObserveEntry(parse_address(o["addr"]), o["log_likelihood"]))
+        trace.observes.append(ObserveEntry(parse_address(o["addr"]), _field(o, "log_likelihood")))
     return trace
 
 

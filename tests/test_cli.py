@@ -499,3 +499,49 @@ def test_module_invocation_matches_in_process(tmp_path):
     assert cli.main(["generate", "--model", "rejection_demo", "--n", "10",
                      "--seed", "21", "--out", str(out_in)]) == 0
     assert out_sub.read_bytes() == out_in.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# streamed generate and typed trace fields
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_generate_streams_each_trace_to_the_file(tmp_path, capsys, monkeypatch, n):
+    events = []
+    real_run_batch, real_write = cli.run_batch, cli.write_traces
+
+    def run_batch_logged(*args):
+        for trace in real_run_batch(*args):
+            events.append(("run", trace.trace_id))
+            yield trace
+
+    def write_logged(path, traces):
+        assert not hasattr(traces, "__len__")  # an iterator, not a list held in memory
+        real_write(path, (events.append(("write", t.trace_id)) or t for t in traces))
+
+    monkeypatch.setattr(cli, "run_batch", run_batch_logged)
+    monkeypatch.setattr(cli, "write_traces", write_logged)
+    out = tmp_path / "t.jsonl"
+    rc = cli.main(["generate", "--model", "rejection_demo", "--n", str(n), "--seed", "4",
+                   "--out", str(out)])
+    assert rc == 0
+    assert events == [(kind, i) for i in range(n) for kind in ("run", "write")]
+    traces = list(run_batch(simzoo.get_model("rejection_demo").run, Mode.PRIOR, 4, n))
+    assert out.read_text() == "".join(trace_to_line(t) + "\n" for t in traces)
+    mean_length = sum(t.length for t in traces) / n if n else 0.0
+    assert json.loads(capsys.readouterr().out) == {"n": n, "mean_length": mean_length}
+
+
+def test_inspect_rejects_fields_of_the_wrong_type(tmp_path, capsys):
+    entry = {"addr": "disc/u:Uniform#0", "family": "Uniform", "params": ["a"],
+             "value": "oops", "log_p": "p", "log_q": None, "scope_id": 7,
+             "iteration": -3, "accepted": "yes"}
+    line = {"trace_id": 0, "entries": [entry], "observes": [], "predicts": {},
+            "log_weight": "oops", "scopes": []}
+    traces = tmp_path / "bad.jsonl"
+    traces.write_text(json.dumps(line) + "\n")
+    rc = cli.main(["inspect", "--traces", str(traces),
+                   "--dot-out", str(tmp_path / "g.dot"),
+                   "--stats-out", str(tmp_path / "s.json")])
+    assert rc == 1
+    assert "line 1" in capsys.readouterr().err

@@ -1,11 +1,13 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from simppl import net, simzoo, sis
+from simppl import runtime as runtime_mod, trace as trace_mod
 from simppl.distributions import Normal, ScaledBeta, Uniform
 from simppl.errors import (
     AddressFamilyMismatch,
@@ -30,6 +32,8 @@ from simppl.trace import obj_to_trace, trace_log_weight, trace_to_line
 
 REJECTION = simzoo.get_model("rejection_demo").run
 GAUSSIAN = simzoo.get_model("gaussian_unknown_mean").run
+TAU_NET = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "benchmark", "inputs", "tau_net.json")
 
 # rejection_demo iteration counts by seed, found by scanning the prior;
 # frozen so the scope tests exercise known retry patterns
@@ -548,3 +552,116 @@ def test_observe_normal_many_guided_requires_values():
     with pytest.raises(ConfigError, match="observe at obs/c0:Normal#0 has no value"):
         with ctx.rejection_scope("obs"):
             ctx.observe_normal_many(["c0", "c1"], [0.0, 1.0], [1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# seed streams and columnar observe blocks
+
+
+def test_reusing_a_seed_sequence_repeats_the_run():
+    ss = np.random.SeedSequence(7)
+    first = run_model(GAUSSIAN, Mode.PRIOR, ss)
+    second = run_model(GAUSSIAN, Mode.PRIOR, ss)
+    assert trace_to_line(second) == trace_to_line(first)
+    assert second.observes[0].value == first.observes[0].value
+    assert ss.n_children_spawned == 0
+
+
+@pytest.mark.parametrize("seed", [0, 7, derived_seed(3, 1, 4)])
+def test_streams_are_the_children_spawn_makes(seed):
+    ctx = ExecutionContext(Mode.PRIOR, seed)
+    fresh = np.random.SeedSequence(seed) if isinstance(seed, int) else derived_seed(3, 1, 4)
+    latent, obs = (np.random.default_rng(s) for s in fresh.spawn(2))
+    assert ctx.rng.random(4).tolist() == latent.random(4).tolist()
+    assert ctx.obs_rng.random(4).tolist() == obs.random(4).tolist()
+
+
+def test_guided_runs_build_no_observation_stream():
+    obs, _ = simzoo.make_observation("tau_decay_toy", 3)
+    ctx = ExecutionContext(Mode.GUIDED, 1, observation=obs)
+    simzoo.get_model("tau_decay_toy").run(ctx)
+    assert "obs_rng" not in vars(ctx)
+
+
+def _count_observe_entries(monkeypatch):
+    """Count ObserveEntry constructions in trace and runtime."""
+    built = [0]
+    real = trace_mod.ObserveEntry
+
+    def counting(*args, **kwargs):
+        built[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trace_mod, "ObserveEntry", counting)
+    monkeypatch.setattr(runtime_mod, "ObserveEntry", counting)
+    return built
+
+
+def test_tau_runs_build_no_observe_entries(monkeypatch):
+    spec = simzoo.get_model("tau_decay_toy")
+    obs, _ = simzoo.make_observation("tau_decay_toy", 23)
+    proposal = net.TrainedProposal(net.load_net(TAU_NET), spec.obs_to_vector(obs))
+    built = _count_observe_entries(monkeypatch)
+    guided = sis.sis_infer(spec.run, obs, 20, proposal_source=proposal, master_seed=3).traces
+    record = list(run_batch(spec.run, Mode.RECORD, 4, 5))
+    net._trace_obs_vector(record[0])
+    assert built[0] == 0
+    for trace in guided + record:
+        terms = [o.log_likelihood for o in trace.observes]
+        terms += [e.log_p - e.log_q for e in trace.entries]
+        assert trace.log_weight.hex() == math.fsum(terms).hex()
+        assert net._trace_obs_vector(trace).tolist() == [o.value for o in trace.observes]
+    assert built[0] == 196 * 25
+    # guided entries hold the observation's own float objects
+    assert all(o.value is v for o, v in zip(guided[0].observes, obs["cells"]))
+
+
+@pytest.mark.parametrize("mode", ["prior", "guided"])
+def test_scopes_after_a_batched_observe_build_no_entries_outside_record_mode(monkeypatch, mode):
+    def model(ctx):
+        ctx.observe_normal_many(["c0", "c1", "c2"], [0.0] * 3, [1.0] * 3, ctx.observed("cells"))
+        with ctx.rejection_scope("s"):
+            ctx.sample("x", Uniform(0.0, 1.0))
+
+    built = _count_observe_entries(monkeypatch)
+    observation = {"cells": [0.5, 1.5, 2.5]} if mode == "guided" else None
+    run_model(model, mode, 1, observation=observation)
+    assert built[0] == 0
+
+
+def _mixed_scope_model(plan, retries, read_at):
+    """Record-mode body mixing scalar and batched observes around a rejection
+    scope whose first `retries` iterations are rejected; with read_at set,
+    it reads ctx.trace.observes before that statement of every iteration."""
+
+    def body(ctx):
+        ctx.observe_normal_many(["p0", "p1"], [0.0, 1.0], [1.0, 2.0])
+        with ctx.rejection_scope("s"):
+            for attempt in range(retries + 1):
+                for i, kind in enumerate(plan + ["end"]):
+                    if i == read_at:
+                        assert len(ctx.trace.observes) >= 2
+                    if kind == "scalar":
+                        ctx.observe(f"o{i}", Normal(0.5, 1.5))
+                    elif kind == "batch":
+                        ctx.observe_normal_many([f"b{i}", f"c{i}"], [0.0, 1.0], [1.0, 0.5])
+                ctx.sample("x", Uniform(0.0, 1.0))
+                if attempt < retries:
+                    ctx.scope_retry()
+        ctx.observe("post", Normal(0.0, 1.0))
+
+    return body
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    plan=st.lists(st.sampled_from(["scalar", "batch"]), max_size=4),
+    retries=st.integers(0, 2),
+    read_at=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reading_observes_mid_scope_commits_the_same_trace(plan, retries, read_at, seed):
+    want = run_model(_mixed_scope_model(plan, retries, None), Mode.RECORD, seed)
+    got = run_model(_mixed_scope_model(plan, retries, read_at), Mode.RECORD, seed)
+    assert trace_to_line(got) == trace_to_line(want)
+    assert [o.value for o in got.observes] == [o.value for o in want.observes]

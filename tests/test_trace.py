@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -288,3 +289,98 @@ def test_non_utf8_line_is_malformed(tmp_path):
 
 def test_serialization_is_deterministic():
     assert trace_to_line(sample_trace()) == trace_to_line(sample_trace())
+
+
+# one bad value per checked field: (where in the object, field, JSON text)
+BAD_FIELDS = [
+    ("trace", "log_weight", '"oops"'),
+    ("entry", "value", '"oops"'),
+    ("entry", "log_p", '"p"'),
+    ("entry", "log_q", "null"),
+    ("observe", "log_likelihood", "true"),
+    ("entry", "params", '["a"]'),
+    ("entry", "params", '{"lo": -1}'),
+    ("entry", "scope_id", "7"),
+    ("entry", "iteration", "-3"),
+    ("entry", "iteration", "1.0"),
+    ("entry", "accepted", '"yes"'),
+    ("entry", "accepted", "1"),
+]
+
+
+@pytest.mark.parametrize("where, field, text", BAD_FIELDS,
+                         ids=[f"{f}={t}" for _, f, t in BAD_FIELDS])
+def test_fields_of_the_wrong_type_are_malformed(tmp_path, where, field, text):
+    obj = trace_to_obj(sample_trace())
+    target = {"trace": obj, "entry": obj["entries"][0], "observe": obj["observes"][0]}[where]
+    target[field] = "@"
+    path = tmp_path / "traces.jsonl"
+    path.write_text(trace_to_line(sample_trace()) + "\n"
+                    + json.dumps(obj).replace('"@"', text) + "\n")
+    with pytest.raises(MalformedTrace) as err:
+        list(iter_traces(path))
+    assert err.value.line_no == 2
+    assert f"{field} must be" in str(err.value)
+
+
+@pytest.mark.parametrize("where, field", [("trace", "log_weight"), ("entry", "value"),
+                                          ("entry", "log_p"), ("entry", "log_q"),
+                                          ("observe", "log_likelihood")])
+def test_minus_infinity_and_integers_are_numbers(tmp_path, where, field):
+    for text in ("-Infinity", "-3"):
+        obj = trace_to_obj(sample_trace())
+        target = {"trace": obj, "entry": obj["entries"][0], "observe": obj["observes"][0]}[where]
+        target[field] = "@"
+        path = tmp_path / "traces.jsonl"
+        path.write_text(json.dumps(obj).replace('"@"', text) + "\n")
+        (back,) = iter_traces(path)
+        got = {"trace": back, "entry": back.entries[0], "observe": back.observes[0]}[where]
+        assert getattr(got, field) == float(text)
+
+
+def test_null_scope_id_and_integer_params_read():
+    obj = trace_to_obj(sample_trace())
+    obj["entries"][0].update(scope_id=None, params=[-1, 1])
+    back = obj_to_trace(obj)
+    assert back.entries[0].scope_id is None
+    assert back.entries[0].params == (-1, 1)
+
+
+# ---------------------------------------------------------------------------
+# columnar observe blocks
+
+
+def _block_trace():
+    t = Trace()
+    t.observes.append(ObserveEntry(intern_address(("a",), "Normal", 0), -0.5, 1.0))
+    addrs = tuple(intern_address((s,), "Normal", 0) for s in "bcd")
+    t.add_observe_block(addrs, np.array([-1.0, -2.0, 1e16]), np.array([0.1, 0.2, 0.3]))
+    t.add_observe_block(addrs[:1], np.array([-1e16]), [0.4])
+    return t
+
+
+def test_blocks_are_built_in_order_on_first_read():
+    t = _block_trace()
+    assert [v for values in t.observe_values() for v in values] == [1.0, 0.1, 0.2, 0.3, 0.4]
+    assert trace_log_weight(t) == math.fsum([-0.5, -1.0, -2.0, 1e16, -1e16])
+    observes = t.observes
+    assert observes is t.observes  # one list, built once
+    assert [(o.address.rendered, o.log_likelihood, o.value) for o in observes] == [
+        ("a:Normal#0", -0.5, 1.0), ("b:Normal#0", -1.0, 0.1), ("c:Normal#0", -2.0, 0.2),
+        ("d:Normal#0", 1e16, 0.3), ("b:Normal#0", -1e16, 0.4)]
+    assert all(type(o.log_likelihood) is float and type(o.value) is float for o in observes)
+    assert t.observe_values() == [[1.0, 0.1, 0.2, 0.3, 0.4]]
+    assert trace_log_weight(t) == math.fsum([-0.5, -1.0, -2.0, 1e16, -1e16])
+
+
+def test_minus_infinity_in_a_block_short_circuits():
+    t = _block_trace()
+    t.add_observe_block((intern_address(("e",), "Normal", 0),), np.array([-math.inf]), [0.5])
+    t.add_observe_block((intern_address(("f",), "Normal", 0),), np.array([math.nan]), [0.6])
+    assert trace_log_weight(t) == -math.inf
+
+
+def test_traces_compare_by_identity():
+    assert sample_trace() != sample_trace()
+    t = _block_trace()
+    assert t == t
