@@ -156,6 +156,9 @@ def cmd_infer(args):
     proposal_source = None
     if args.net:
         net = net_mod.load_net(args.net)
+        if net.arch.obs_dim != len(obs_vec):
+            raise ConfigError(f"--net takes {net.arch.obs_dim} observation cells, "
+                              f"the observation has {len(obs_vec)}")
         proposal_source = net_mod.TrainedProposal(net, obs_vec)
     particles = sis_infer(
         spec.run,
@@ -182,13 +185,14 @@ def cmd_infer(args):
 
 
 def _check_finite(observation):
-    """Reject a NaN or infinite value, naming its key or list cell."""
+    """Reject a boolean, NaN or infinite value, naming its key or list cell."""
     for key, value in observation.items():
         cells = enumerate(value) if isinstance(value, list) else [(None, value)]
         for i, v in cells:
-            if isinstance(v, float) and not math.isfinite(v):
+            if type(v) is bool or isinstance(v, float) and not math.isfinite(v):
                 where = key if i is None else f"{key}[{i}]"
-                raise ConfigError(f"observation {where} is not finite: {v!r}")
+                what = "a boolean" if type(v) is bool else "not finite"
+                raise ConfigError(f"observation {where} is {what}: {v!r}")
 
 
 def cmd_inspect(args):

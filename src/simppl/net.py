@@ -196,10 +196,10 @@ class ProposalNetwork:
 
 
 def _trace_obs_vector(trace):
-    built, *blocks = trace.observe_values()
-    if None in built:
+    values = [block[2] for block in trace.observe_blocks]
+    if any(v is None for v in values):  # read back from JSONL
         raise SimpplError("trace carries no recorded observe values")
-    return np.concatenate([np.asarray(v, dtype=float) for v in (built, *blocks)])
+    return np.concatenate([np.asarray(v, dtype=float) for v in values])
 
 
 def _loss_and_grad(net, batch, want_grad):
@@ -289,8 +289,8 @@ class TrainingConfig:
             raise ConfigError("steps must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails both comparisons
+            raise ConfigError("learning_rate must be positive and finite")
 
 
 

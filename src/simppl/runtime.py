@@ -48,7 +48,7 @@ from .errors import (
     ScopeUnderflow,
     SimpplError,
 )
-from .trace import AddressTable, ObserveEntry, Trace, TraceEntry, trace_log_weight
+from .trace import AddressTable, Trace, TraceEntry, trace_log_weight
 
 
 class Mode(str, enum.Enum):
@@ -61,8 +61,9 @@ class Mode(str, enum.Enum):
 class _ScopeState:
     scope_id: str
     entry_mark: int
+    observe_mark: int
     execution_mark: int
-    rollback: tuple | None  # record mode only: (observe mark, counter snapshot)
+    snapshot: dict | None  # record mode only: the counters to restore on retry
     iteration: int = 0
     cached: dict = field(default_factory=dict)
     occ: dict = field(default_factory=dict)
@@ -142,7 +143,7 @@ class ExecutionContext:
         if value is None:
             self._check_unconditioned(addr)
             value = dist.sample(self.obs_rng)
-        self.trace.observes.append(ObserveEntry(addr, dist.log_prob(value), value))
+        self.trace.observe_blocks.append(((addr,), (dist.log_prob(value),), (value,)))
         return value
 
     def observe_normal_many(self, site_ids, mu, sigma, values=None):
@@ -181,13 +182,13 @@ class ExecutionContext:
         if values is None:
             self._check_unconditioned(addrs[0])
             x = self.obs_rng.normal(mu, sigma)
-            self.trace.add_observe_block(addrs, normal_log_probs(x, mu, sigma), x)
+            self.trace.observe_blocks.append((addrs, normal_log_probs(x, mu, sigma), x))
             return x.tolist()
         # the trace holds the caller's floats by reference and coerces other numbers
         if set(map(type, values)) != {float}:
             values = [v if type(v) is float else float(v) for v in values]
         x = np.array(values)
-        self.trace.add_observe_block(addrs, normal_log_probs(x, mu, sigma), values)
+        self.trace.observe_blocks.append((addrs, normal_log_probs(x, mu, sigma), values))
         return list(values)
 
     def _check_unconditioned(self, addr):
@@ -216,9 +217,9 @@ class ExecutionContext:
         if any(s.scope_id == scope_id for s in self._scopes):
             raise NestedScopeReuse(f"scope {scope_id!r} is already active")
         t = self.trace
-        # only record mode rolls observes back; taking their mark builds pending blocks
-        rollback = (len(t.observes), self.counters.snapshot()) if self.mode is Mode.RECORD else None
-        self._scopes.append(_ScopeState(scope_id, len(t.entries), len(t.scope_executions), rollback))
+        snapshot = self.counters.snapshot() if self.mode is Mode.RECORD else None
+        self._scopes.append(_ScopeState(scope_id, len(t.entries), len(t.observe_blocks),
+                                        len(t.scope_executions), snapshot))
         self._path = self._path + (scope_id,)
 
     def scope_retry(self):
@@ -229,11 +230,10 @@ class ExecutionContext:
             # discard the rejected iteration entirely (its inner scope
             # executions too, but not this scope's retry count); counters roll
             # back so the next iteration reuses the same instance numbers
-            observe_mark, snapshot = scope.rollback
             del self.trace.entries[scope.entry_mark:]
-            del self.trace.observes[observe_mark:]
+            del self.trace.observe_blocks[scope.observe_mark:]
             del self.trace.scope_executions[scope.execution_mark:]
-            self.counters.restore(snapshot)
+            self.counters.restore(scope.snapshot)
         else:
             for entry in self.trace.entries[scope.entry_mark:]:
                 entry.accepted = False

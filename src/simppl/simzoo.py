@@ -26,6 +26,7 @@ from scipy.special import ndtr
 from .distributions import Categorical, Exponential, Normal, Uniform
 from .errors import ConfigInvalid, UnsupportedModel
 from .runtime import Mode, run_model
+from .trace import column_list
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -270,7 +271,7 @@ def make_observation(name, seed, config=None):
     """
     spec = get_model(name, config)
     trace = run_model(spec.run, Mode.PRIOR, seed)
-    obs = spec.observation_from_values([o.value for o in trace.observes])
+    obs = spec.observation_from_values([v for b in trace.observe_blocks for v in column_list(b[2])])
     return obs, dict(trace.predicts)
 
 

@@ -51,9 +51,10 @@ def _first_term(traces, predicate):
         for entry in trace.entries:
             if predicate(entry.log_p - entry.log_q):
                 return entry.address, "log_p - log_q"
-        for obs in trace.observes:
-            if predicate(obs.log_likelihood):
-                return obs.address, "observe log-likelihood"
+        for addrs, log_liks, _ in trace.observe_blocks:
+            for addr, log_lik in zip(addrs, log_liks):
+                if predicate(log_lik):
+                    return addr, "observe log-likelihood"
     return None, None
 
 

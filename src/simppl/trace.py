@@ -150,11 +150,7 @@ class TraceEntry:
 
 @dataclass(slots=True)
 class ObserveEntry:
-    """One conditioning statement.
-
-    value is kept in memory so Record-mode traces carry their synthetic
-    observation (training data), but it is not part of the file schema.
-    """
+    """One observed cell as Trace.observes lists it; value is None when read from JSONL."""
 
     address: Address
     log_likelihood: float
@@ -169,9 +165,10 @@ class Trace:
     in exit order; in record mode it keeps the retry counts of the iterations
     it rolled back, but not the inner scope executions they contained.
 
-    observe_normal_many adds one block (addresses, float64 log-likelihoods,
-    values); `observes` builds pending blocks' entries, in order, on first
-    read. Equality is identity: blocks hold arrays, and no code compares traces.
+    observe_blocks is the one observe store: one (addresses, log-likelihoods,
+    values) block per observe statement; values is None when read from JSONL.
+    `observes` is a read-only view, a fresh ObserveEntry list on each read.
+    Equality is identity: blocks hold arrays, and no code compares traces.
     """
 
     entries: list = field(default_factory=list)
@@ -180,23 +177,15 @@ class Trace:
     log_weight: float = 0.0
     trace_id: int = 0
     proposal_fallbacks: int = 0
-    _observes: list = field(default_factory=list, init=False, repr=False)
-    _blocks: list = field(default_factory=list, init=False, repr=False)
+    observe_blocks: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def observes(self):
-        for addrs, log_liks, values in self._blocks:
-            values = values.tolist() if hasattr(values, "tolist") else values  # a drawn array
-            self._observes.extend(map(ObserveEntry, addrs, log_liks.tolist(), values))
-        self._blocks.clear()
-        return self._observes
-
-    def add_observe_block(self, addresses, log_likelihoods, values):
-        self._blocks.append((addresses, log_likelihoods, values))
-
-    def observe_values(self):
-        """Built entries' values, then each pending block's, without building it."""
-        return [[o.value for o in self._observes]] + [b[2] for b in self._blocks]
+        out = []
+        for addrs, log_liks, values in self.observe_blocks:
+            values = [None] * len(addrs) if values is None else column_list(values)
+            out += map(ObserveEntry, addrs, column_list(log_liks), values)
+        return out
 
     @property
     def length(self):
@@ -204,16 +193,20 @@ class Trace:
         return len(self.entries)
 
 
+def column_list(cells):
+    """A block's column as a list or tuple; a drawn array becomes Python floats."""
+    return cells.tolist() if hasattr(cells, "tolist") else cells
+
+
 def trace_log_weight(trace):
     """log w = sum of observe log-likelihoods + sum over entries of log_p - log_q.
 
     Entries' densities are finite by construction; observe likelihoods may be
-    -inf, which propagates to a -inf weight (a zero-weight particle). Pending
-    observe blocks are read without building entries.
+    -inf, which propagates to a -inf weight (a zero-weight particle).
     """
-    terms = [o.log_likelihood for o in trace._observes]
-    for _, log_liks, _ in trace._blocks:
-        terms += log_liks.tolist()
+    terms = []
+    for _, log_liks, _ in trace.observe_blocks:
+        terms += column_list(log_liks)
     terms.extend(e.log_p - e.log_q for e in trace.entries)
     if -math.inf in terms:
         return -math.inf
@@ -238,8 +231,9 @@ def trace_to_obj(trace):
             for e in trace.entries
         ],
         "observes": [
-            {"addr": o.address.rendered, "log_likelihood": o.log_likelihood}
-            for o in trace.observes
+            {"addr": a.rendered, "log_likelihood": ll}
+            for addrs, log_liks, _ in trace.observe_blocks
+            for a, ll in zip(addrs, column_list(log_liks))
         ],
         "predicts": trace.predicts,
         "log_weight": trace.log_weight,
@@ -284,8 +278,8 @@ def obj_to_trace(obj):
             raise ValueError(f"family field {e['family']!r} disagrees with {e['addr']!r}")
         trace.entries.append(TraceEntry(addr, tuple(_field(e, "params")),
                                         *[_field(e, key) for key in _ENTRY_FIELDS]))
-    for o in obj["observes"]:
-        trace.observes.append(ObserveEntry(parse_address(o["addr"]), _field(o, "log_likelihood")))
+    cells = [(parse_address(o["addr"]), _field(o, "log_likelihood")) for o in obj["observes"]]
+    trace.observe_blocks.append(([a for a, _ in cells], [ll for _, ll in cells], None))
     return trace
 
 

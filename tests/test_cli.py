@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -113,6 +114,16 @@ def test_train_net_bytes_follow_seed(tmp_path, capsys):
         assert rc == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert paths[0].read_bytes() != paths[2].read_bytes()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "0"])
+def test_train_rejects_a_learning_rate_not_positive_and_finite(tmp_path, capsys, lr):
+    net_path = tmp_path / "net.json"
+    rc = cli.main(["train", "--model", "gaussian_unknown_mean", "--steps", "1", "--seed", "1",
+                   "--batch-size", "1", f"--lr={lr}", "--net-out", str(net_path)])
+    assert rc == 2
+    assert "learning_rate must be positive and finite" in capsys.readouterr().err
+    assert not net_path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +332,9 @@ TAU_NET = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
                        "benchmark", "inputs", "tau_net.json")
 
 
-def _tau_cells_with_nan_at(index):
+def _tau_cells_with(index, value):
     obs, _ = make_observation("tau_decay_toy", 3)
-    obs["cells"][index] = math.nan
+    obs["cells"][index] = value
     return {"cells": obs["cells"]}
 
 
@@ -334,7 +345,7 @@ def _tau_cells_with_nan_at(index):
 ])
 def test_infer_rejects_non_finite_observation(tmp_path, capsys, model, values, net, where):
     if values is None:
-        values = _tau_cells_with_nan_at(17)
+        values = _tau_cells_with(17, math.nan)
     obs = write_observation(tmp_path / "obs.json", model, values)
     argv = ["infer", "--model", model, "--observation", obs, "--particles", "10",
             "--seed", "1", "--out", str(tmp_path / "o.json")]
@@ -342,6 +353,38 @@ def test_infer_rejects_non_finite_observation(tmp_path, capsys, model, values, n
     assert rc == 2
     assert where in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("model, values, where", [
+    ("gaussian_unknown_mean", {"y": True}, "observation y is a boolean: True"),
+    ("tau_decay_toy", None, "observation cells[3] is a boolean: False"),
+], ids=["y", "cells[3]"])
+def test_infer_rejects_a_boolean_observation(tmp_path, capsys, model, values, where):
+    obs = write_observation(tmp_path / "obs.json", model, values or _tau_cells_with(3, False))
+    rc = cli.main(["infer", "--model", model, "--observation", obs, "--particles", "10",
+                   "--seed", "1", "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_infer_rejects_a_network_for_another_observation_size(tmp_path, capsys, monkeypatch):
+    net_path = tmp_path / "net.json"
+    assert cli.main(["train", "--model", "gaussian_unknown_mean", "--steps", "1",
+                     "--seed", "1", "--batch-size", "2", "--net-out", str(net_path)]) == 0
+    capsys.readouterr()
+    obs, _ = make_observation("tau_decay_toy", 3)
+    path = write_observation(tmp_path / "obs.json", "tau_decay_toy", {"cells": obs["cells"]})
+
+    def no_particles(*args, **kwargs):
+        raise AssertionError("a particle ran")
+
+    monkeypatch.setattr(cli, "sis_infer", no_particles)
+    rc = cli.main(["infer", "--model", "tau_decay_toy", "--observation", path,
+                   "--net", str(net_path), "--particles", "10", "--seed", "1",
+                   "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert "--net takes 1 observation cells, the observation has 196" in capsys.readouterr().err
 
 
 def test_infer_rejects_malformed_observation_json(tmp_path, capsys):
@@ -444,10 +487,15 @@ _TRACES = st.one_of(
               st.sampled_from(["log_weight", "trace_id", "value"]), _NON_FINITE),
 )
 # y drawn from every float, NaN, infinities and overflowing magnitudes included
-_OBSERVATION = st.floats().map(
+_OBSERVATION = st.one_of(st.floats(), st.booleans()).map(
     lambda y: json.dumps({"model": "gaussian_unknown_mean", "values": {"y": y}}))
+_STEPS = st.one_of(st.integers(-1, 3).map(str), _BAD_INT)
+# any float's text, NaN and infinities included, or not a number at all
+_LR_TEXT = st.one_of(_NON_FINITE.map(repr), st.floats().map(repr),
+                     st.sampled_from(["", "x", "1e", "0x10", "1,5"]))
 _PAYLOADS = {
     "generate": st.just(""),
+    "train": st.just(""),
     "infer": st.one_of(_OBSERVATION,
                        st.builds(lambda text, k: text[:k], _OBSERVATION, st.integers(0, 40))),
     "inspect": _TRACES,
@@ -466,18 +514,24 @@ def test_drawn_inputs_exit_0_1_or_2_with_an_error_line(command, count, seed, dat
         argv = {
             "generate": ["generate", "--model", "rejection_demo", "--n", count,
                          "--seed", seed, "--out", out],
+            "train": ["train", "--model", "gaussian_unknown_mean", "--steps", data.draw(_STEPS),
+                      "--seed", seed, "--batch-size", "1", f"--lr={data.draw(_LR_TEXT)}",
+                      "--net-out", out],
             "infer": ["infer", "--model", "gaussian_unknown_mean", "--observation", path,
                       "--particles", count, "--seed", seed, "--out", out],
             "inspect": ["inspect", "--traces", path, "--dot-out", out,
                         "--stats-out", out + ".json"],
         }[command]
         stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 rc = cli.main(argv)
             except SystemExit as exc:  # argparse's usage error
                 assert exc.code == 2
                 rc = exc.code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert rc in (0, 1, 2)
     if rc:
         assert any("error:" in line for line in stderr.getvalue().splitlines())

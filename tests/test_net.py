@@ -314,7 +314,7 @@ def test_batched_step_unknown_head_raises():
 def test_batched_step_rejects_observation_of_wrong_shape():
     net = perturbed_net(ALL_FAMILIES, 1)
     batch = record_batch(ALL_FAMILIES, 4)
-    batch[2].observes.pop()
+    batch[2].observe_blocks.pop()  # its last observe, a one-cell block
     with pytest.raises(DimensionMismatch):
         ic_loss(net, batch)
 

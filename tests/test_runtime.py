@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simppl import net, simzoo, sis
-from simppl import runtime as runtime_mod, trace as trace_mod
+from simppl import trace as trace_mod
 from simppl.distributions import Normal, ScaledBeta, Uniform
 from simppl.errors import (
     AddressFamilyMismatch,
@@ -584,7 +584,7 @@ def test_guided_runs_build_no_observation_stream():
 
 
 def _count_observe_entries(monkeypatch):
-    """Count ObserveEntry constructions in trace and runtime."""
+    """Count ObserveEntry constructions; only the trace's observes view builds them."""
     built = [0]
     real = trace_mod.ObserveEntry
 
@@ -593,7 +593,6 @@ def _count_observe_entries(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(trace_mod, "ObserveEntry", counting)
-    monkeypatch.setattr(runtime_mod, "ObserveEntry", counting)
     return built
 
 
@@ -606,27 +605,43 @@ def test_tau_runs_build_no_observe_entries(monkeypatch):
     record = list(run_batch(spec.run, Mode.RECORD, 4, 5))
     net._trace_obs_vector(record[0])
     assert built[0] == 0
-    for trace in guided + record:
-        terms = [o.log_likelihood for o in trace.observes]
+    views = [trace.observes for trace in guided + record]
+    assert built[0] == 196 * 25
+    for trace, observes in zip(guided + record, views):
+        terms = [o.log_likelihood for o in observes]
         terms += [e.log_p - e.log_q for e in trace.entries]
         assert trace.log_weight.hex() == math.fsum(terms).hex()
-        assert net._trace_obs_vector(trace).tolist() == [o.value for o in trace.observes]
-    assert built[0] == 196 * 25
+        assert net._trace_obs_vector(trace).tolist() == [o.value for o in observes]
     # guided entries hold the observation's own float objects
-    assert all(o.value is v for o, v in zip(guided[0].observes, obs["cells"]))
+    assert all(o.value is v for o, v in zip(views[0], obs["cells"]))
 
 
-@pytest.mark.parametrize("mode", ["prior", "guided"])
-def test_scopes_after_a_batched_observe_build_no_entries_outside_record_mode(monkeypatch, mode):
+CELLS = [f"c{i}" for i in range(196)]  # as many as a tau calorimeter image
+
+
+def _batch_then(statement):
+    """Model observing every cell in one batched statement, then `statement`:
+    a rejection scope holding one sample, or a scalar observe."""
+
     def model(ctx):
-        ctx.observe_normal_many(["c0", "c1", "c2"], [0.0] * 3, [1.0] * 3, ctx.observed("cells"))
-        with ctx.rejection_scope("s"):
-            ctx.sample("x", Uniform(0.0, 1.0))
+        ctx.observe_normal_many(CELLS, [0.0] * 196, [1.0] * 196, ctx.observed("cells"))
+        if statement == "scope":
+            with ctx.rejection_scope("s"):
+                ctx.sample("x", Uniform(0.0, 1.0))
+        else:
+            ctx.observe("y", Normal(0.0, 1.0), ctx.observed("y"))
 
+    return model
+
+
+@pytest.mark.parametrize("statement", ["scope", "observe"])
+@pytest.mark.parametrize("mode", ["prior", "record", "guided"])
+def test_statements_after_a_batched_observe_build_no_entries(monkeypatch, mode, statement):
     built = _count_observe_entries(monkeypatch)
-    observation = {"cells": [0.5, 1.5, 2.5]} if mode == "guided" else None
-    run_model(model, mode, 1, observation=observation)
+    observation = {"cells": [0.5] * 196, "y": 0.25} if mode == "guided" else None
+    trace = run_model(_batch_then(statement), mode, 1, observation=observation)
     assert built[0] == 0
+    assert len(trace.observes) == 196 + (statement == "observe")
 
 
 def _mixed_scope_model(plan, retries, read_at):

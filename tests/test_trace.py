@@ -9,9 +9,9 @@ from simppl.errors import AddressFamilyMismatch, MalformedTrace, ParameterError
 from simppl.trace import (
     Address,
     AddressTable,
-    ObserveEntry,
     Trace,
     TraceEntry,
+    column_list,
     intern_address,
     iter_traces,
     obj_to_trace,
@@ -135,15 +135,15 @@ def test_log_weight_sums_likelihoods_and_ratios():
     a = intern_address(("m",), "Normal", 0)
     t = Trace()
     t.entries.append(make_entry(a, log_p=-0.5, log_q=-0.25))
-    t.observes.append(ObserveEntry(address=a, log_likelihood=-2.0))
+    t.observe_blocks.append(((a,), (-2.0,), (None,)))
     assert trace_log_weight(t) == pytest.approx(-2.0 + (-0.5 - -0.25))
 
 
 def test_log_weight_minus_infinity_short_circuits():
     a = intern_address(("m",), "Normal", 0)
     t = Trace()
-    t.observes.append(ObserveEntry(address=a, log_likelihood=-math.inf))
-    t.observes.append(ObserveEntry(address=a, log_likelihood=math.nan))
+    t.observe_blocks.append(((a,), (-math.inf,), (None,)))
+    t.observe_blocks.append(((a,), (math.nan,), (None,)))
     assert trace_log_weight(t) == -math.inf
 
 
@@ -152,7 +152,7 @@ def test_log_weight_uses_compensated_summation():
     t = Trace()
     # naive accumulation of these loses the tiny term entirely
     for ll in (1e16, 1.0, -1e16):
-        t.observes.append(ObserveEntry(address=a, log_likelihood=ll))
+        t.observe_blocks.append(((a,), (ll,), (None,)))
     assert trace_log_weight(t) == 1.0
 
 
@@ -160,15 +160,14 @@ def test_log_weight_uses_compensated_summation():
 # serialization
 
 
-def sample_trace():
+def sample_trace(log_likelihood=-1.5):
     t = Trace(trace_id=5)
     a = intern_address(("disc", "u"), "Uniform", 0)
     t.entries.append(
         TraceEntry(address=a, params=(-1.0, 1.0), value=0.25, log_p=-0.69,
                    log_q=-0.7, scope_id="disc", iteration=1, accepted=False)
     )
-    t.observes.append(ObserveEntry(address=intern_address(("y",), "Normal", 0),
-                                   log_likelihood=-1.5, value=0.9))
+    t.observe_blocks.append(((intern_address(("y",), "Normal", 0),), (log_likelihood,), (0.9,)))
     t.predicts["u"] = 0.25
     t.scope_executions = [("disc", 1)]
     t.log_weight = -1.49
@@ -260,8 +259,7 @@ def test_non_finite_numbers_and_bad_trace_ids_are_malformed(tmp_path, field, val
 
 
 def test_minus_infinity_log_weight_still_reads(tmp_path):
-    t = sample_trace()
-    t.observes[0].log_likelihood = -math.inf
+    t = sample_trace(log_likelihood=-math.inf)
     t.log_weight = -math.inf
     path = tmp_path / "traces.jsonl"
     write_traces(path, [t])
@@ -352,31 +350,54 @@ def test_null_scope_id_and_integer_params_read():
 
 def _block_trace():
     t = Trace()
-    t.observes.append(ObserveEntry(intern_address(("a",), "Normal", 0), -0.5, 1.0))
+    t.observe_blocks.append(((intern_address(("a",), "Normal", 0),), (-0.5,), (1.0,)))
     addrs = tuple(intern_address((s,), "Normal", 0) for s in "bcd")
-    t.add_observe_block(addrs, np.array([-1.0, -2.0, 1e16]), np.array([0.1, 0.2, 0.3]))
-    t.add_observe_block(addrs[:1], np.array([-1e16]), [0.4])
+    t.observe_blocks.append((addrs, np.array([-1.0, -2.0, 1e16]), np.array([0.1, 0.2, 0.3])))
+    t.observe_blocks.append((addrs[:1], np.array([-1e16]), [0.4]))
     return t
 
 
 def test_blocks_are_built_in_order_on_first_read():
     t = _block_trace()
-    assert [v for values in t.observe_values() for v in values] == [1.0, 0.1, 0.2, 0.3, 0.4]
+    assert [v for _, _, values in t.observe_blocks for v in column_list(values)] == [
+        1.0, 0.1, 0.2, 0.3, 0.4]
     assert trace_log_weight(t) == math.fsum([-0.5, -1.0, -2.0, 1e16, -1e16])
     observes = t.observes
-    assert observes is t.observes  # one list, built once
     assert [(o.address.rendered, o.log_likelihood, o.value) for o in observes] == [
         ("a:Normal#0", -0.5, 1.0), ("b:Normal#0", -1.0, 0.1), ("c:Normal#0", -2.0, 0.2),
         ("d:Normal#0", 1e16, 0.3), ("b:Normal#0", -1e16, 0.4)]
     assert all(type(o.log_likelihood) is float and type(o.value) is float for o in observes)
-    assert t.observe_values() == [[1.0, 0.1, 0.2, 0.3, 0.4]]
+    assert [len(addrs) for addrs, _, _ in t.observe_blocks] == [1, 3, 1]
     assert trace_log_weight(t) == math.fsum([-0.5, -1.0, -2.0, 1e16, -1e16])
+
+
+def test_observes_is_a_fresh_view_that_leaves_the_trace_unchanged():
+    t = _block_trace()
+    blocks = list(t.observe_blocks)
+    observes = t.observes
+    observes.pop()
+    observes[0].log_likelihood = -math.inf
+    assert t.observes is not observes
+    assert len(t.observes) == 5 and t.observes[0].log_likelihood == -0.5
+    assert t.observe_blocks == blocks
+    assert trace_log_weight(t) == math.fsum([-0.5, -1.0, -2.0, 1e16, -1e16])
+
+
+def test_a_trace_read_back_has_one_block_without_values():
+    t = _block_trace()
+    back = obj_to_trace(json.loads(trace_to_line(t)))
+    ((addrs, log_liks, values),) = back.observe_blocks
+    assert [a.rendered for a in addrs] == ["a:Normal#0", "b:Normal#0", "c:Normal#0",
+                                          "d:Normal#0", "b:Normal#0"]
+    assert log_liks == [-0.5, -1.0, -2.0, 1e16, -1e16] and values is None
+    assert [o.value for o in back.observes] == [None] * 5
+    assert trace_to_line(back) == trace_to_line(t)
 
 
 def test_minus_infinity_in_a_block_short_circuits():
     t = _block_trace()
-    t.add_observe_block((intern_address(("e",), "Normal", 0),), np.array([-math.inf]), [0.5])
-    t.add_observe_block((intern_address(("f",), "Normal", 0),), np.array([math.nan]), [0.6])
+    t.observe_blocks.append(((intern_address(("e",), "Normal", 0),), np.array([-math.inf]), [0.5]))
+    t.observe_blocks.append(((intern_address(("f",), "Normal", 0),), np.array([math.nan]), [0.6]))
     assert trace_log_weight(t) == -math.inf
 
 
