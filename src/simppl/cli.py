@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import net as net_mod
@@ -148,11 +147,7 @@ def cmd_infer(args):
         )
     spec = simzoo.get_model(args.model, wrapper.get("config"))
     observation = wrapper["values"]
-    _check_finite(observation)
-    try:
-        obs_vec = spec.obs_to_vector(observation)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"observation values do not fit {args.model}: {exc}") from exc
+    obs_vec = spec.obs_to_vector(observation)
     proposal_source = None
     if args.net:
         net = net_mod.load_net(args.net)
@@ -182,17 +177,6 @@ def cmd_infer(args):
         fh.write(payload + "\n")
     print(payload)
     return 0
-
-
-def _check_finite(observation):
-    """Reject a boolean, NaN or infinite value, naming its key or list cell."""
-    for key, value in observation.items():
-        cells = enumerate(value) if isinstance(value, list) else [(None, value)]
-        for i, v in cells:
-            if type(v) is bool or isinstance(v, float) and not math.isfinite(v):
-                where = key if i is None else f"{key}[{i}]"
-                what = "a boolean" if type(v) is bool else "not finite"
-                raise ConfigError(f"observation {where} is {what}: {v!r}")
 
 
 def cmd_inspect(args):
@@ -225,6 +209,8 @@ _COMMANDS = {
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if empty := [name for name, value in vars(args).items() if value == []]:  # from --name=--
+        parser.error(f"argument --{empty[0].replace('_', '-')}: expected one argument")
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -151,8 +151,8 @@ class ExecutionContext:
 
         Same trace, weight and obs_rng state as calling
         observe(site_ids[i], Normal(mu[i], sigma[i]), values[i]) in order,
-        with one draw for all sites when values is None (prior/record mode).
-        Returns a new list of the observed values.
+        with one draw for all sites when values is None (prior/record mode). The
+        trace holds the values as given, by reference, or as drawn; returns a new list.
         """
         site_ids = tuple(site_ids)
         n = len(site_ids)
@@ -181,15 +181,10 @@ class ExecutionContext:
         self._last_address = addrs[-1]
         if values is None:
             self._check_unconditioned(addrs[0])
-            x = self.obs_rng.normal(mu, sigma)
-            self.trace.observe_blocks.append((addrs, normal_log_probs(x, mu, sigma), x))
-            return x.tolist()
-        # the trace holds the caller's floats by reference and coerces other numbers
-        if set(map(type, values)) != {float}:
-            values = [v if type(v) is float else float(v) for v in values]
-        x = np.array(values)
+            values = self.obs_rng.normal(mu, sigma)
+        x = np.asarray(values, dtype=float)
         self.trace.observe_blocks.append((addrs, normal_log_probs(x, mu, sigma), values))
-        return list(values)
+        return values.tolist() if values is x else list(values)
 
     def _check_unconditioned(self, addr):
         """An observe at addr without a value is allowed outside guided mode."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -151,7 +152,7 @@ class TauToyConfig:
     def from_dict(cls, obj):
         try:
             return cls(**obj)
-        except TypeError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # a field of the wrong type
             raise ConfigInvalid(f"bad tau_decay_toy config: {exc}") from exc
 
 
@@ -216,10 +217,36 @@ class ModelSpec:
     config: object = None
 
 
+def _obs_converter(name, key, n_cells=None):
+    """obs_to_vector of a model reading obs[key], one number or with n_cells a
+    list of that many, as a float64 vector. No value may be a boolean or not
+    finite, nor one at key not an int or float: ConfigInvalid names its key or cell."""
+
+    def obs_to_vector(obs):
+        for k, value in obs.items():
+            many = isinstance(value, list)
+            for i, v in enumerate(value if many else [value]):
+                if type(v) is float and math.isfinite(v):  # the common case, decided first
+                    continue
+                num = isinstance(v, float) or k == key and isinstance(v, int)
+                what = ("a boolean" if type(v) is bool else "not a number" if k == key and not num
+                        else "not finite" if num and not abs(v) <= sys.float_info.max else "")
+                if what:
+                    raise ConfigInvalid(f"observation {f'{k}[{i}]' if many else k} is {what}: {v!r}")
+        value = obs.get(key)  # None only when missing: the scan rejects a null at key
+        if value is None or isinstance(value, list) is not bool(n_cells):
+            raise ConfigInvalid(f"observation values do not fit {name}: {key!r}")
+        if n_cells and len(value) != n_cells:
+            raise ConfigInvalid(f"observation has {len(value)} cells, config grid wants {n_cells}")
+        return np.asarray(value if n_cells else [value], dtype=float)
+
+    return obs_to_vector
+
+
 def _scalar_spec(name, body, config):
     if config is not None:
         raise ConfigInvalid(f"{name} takes no config")
-    return ModelSpec(name, body, lambda obs: np.asarray([float(obs["y"])]),
+    return ModelSpec(name, body, _obs_converter(name, "y"),
                      lambda values: {"model": name, "y": values[0]})
 
 
@@ -228,15 +255,6 @@ def _tau_spec(name, body, config):
     cfg = DEFAULT_TAU_CONFIG if config is None else config
     if not isinstance(cfg, TauToyConfig):
         cfg = TauToyConfig.from_dict(cfg)
-    n_cells = cfg.grid[0] * cfg.grid[1] * cfg.grid[2]
-
-    def obs_to_vector(obs):
-        cells = np.asarray(obs["cells"], dtype=float)
-        if cells.shape != (n_cells,):
-            raise ConfigInvalid(
-                f"observation has {cells.size} cells, config grid wants {n_cells}"
-            )
-        return cells
 
     def observation_from_values(values):
         return {
@@ -246,7 +264,8 @@ def _tau_spec(name, body, config):
             "cells": [float(v) for v in values],
         }
 
-    return ModelSpec(name, lambda ctx: body(ctx, cfg), obs_to_vector,
+    return ModelSpec(name, lambda ctx: body(ctx, cfg),
+                     _obs_converter(name, "cells", math.prod(cfg.grid)),
                      observation_from_values, config=cfg)
 
 

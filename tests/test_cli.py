@@ -368,6 +368,58 @@ def test_infer_rejects_a_boolean_observation(tmp_path, capsys, model, values, wh
     assert not (tmp_path / "o.json").exists()
 
 
+def _tau_cells_as(convert):
+    obs, _ = make_observation("tau_decay_toy", 3)
+    return {"cells": [convert(c) for c in obs["cells"]]}
+
+
+def _infer(tmp_path, model, values, config=None):
+    obs = write_observation(tmp_path / "obs.json", model, values, config)
+    return cli.main(["infer", "--model", model, "--observation", obs, "--particles", "10",
+                     "--seed", "1", "--out", str(tmp_path / "o.json")])
+
+
+@pytest.mark.parametrize("model, values, where", [
+    ("gaussian_unknown_mean", {"y": "1"}, "observation y is not a number: '1'"),
+    ("gaussian_unknown_mean", {"y": "nan"}, "observation y is not a number: 'nan'"),
+    ("tau_decay_toy", _tau_cells_as(str), "observation cells[0] is not a number: '"),
+    ("tau_decay_toy", _tau_cells_with(3, "nan"), "observation cells[3] is not a number: 'nan'"),
+    ("tau_decay_toy", _tau_cells_as(lambda c: [c]), "observation cells[0] is not a number: ["),
+], ids=["y string", "y string nan", "cells strings", "cells[3] string nan", "cells nested"])
+def test_infer_rejects_a_value_that_is_not_a_number(tmp_path, capsys, model, values, where):
+    # at the parent: exit 1 from the model, exit 0, or exit 2 with a cell count naming no cell
+    assert _infer(tmp_path, model, values) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}")
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("model, values, message", [
+    # a list where one number belongs: the message now ends, like a missing key's, in the
+    # key, where the parent's ended in float()'s TypeError text
+    ("gaussian_unknown_mean", {"y": [1.0]},
+     "observation values do not fit gaussian_unknown_mean: 'y'"),
+    ("tau_decay_toy", {"cells": [0.0] * 195}, "observation has 195 cells, config grid wants 196"),
+    ("rejection_demo", {"y": 0.1, "z": math.nan}, "observation z is not finite: nan"),
+    ("rejection_demo", {"y": 0.1, "z": [1, True]}, "observation z[1] is a boolean: True"),
+], ids=["y list", "cell count", "unread nan", "unread boolean"])
+def test_infer_usage_errors_that_stay_exit_2(tmp_path, capsys, model, values, message):
+    assert _infer(tmp_path, model, values) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"grid": ["a", 3, 3]}, "invalid literal for int() with base 10: 'a'"),
+    ({"channel_prior": ["x", 0.4]}, "could not convert string to float: 'x'"),
+    ({"depth_profiles": [[0.8, 0.2], ["y", 0.7]]}, "could not convert string to float: 'y'"),
+], ids=["grid", "channel_prior", "depth_profiles"])
+def test_infer_rejects_a_tau_config_field_of_the_wrong_type(tmp_path, capsys, patch, message):
+    # an uncaught ValueError with a traceback and exit 1 at the parent
+    values, _ = make_observation("tau_decay_toy", 3, SMALL_TAU)
+    config = {**SMALL_TAU.to_dict(), **patch}
+    assert _infer(tmp_path, "tau_decay_toy", {"cells": values["cells"]}, config) == 2
+    assert capsys.readouterr().err == f"error: bad tau_decay_toy config: {message}\n"
+
+
 def test_infer_rejects_a_network_for_another_observation_size(tmp_path, capsys, monkeypatch):
     net_path = tmp_path / "net.json"
     assert cli.main(["train", "--model", "gaussian_unknown_mean", "--steps", "1",
@@ -459,6 +511,27 @@ def test_unknown_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["generate", "--model", "rejection_demo", "--n=--", "--seed", "1", "--out", "t.jsonl"],
+     "--n"),
+    (["train", "--model", "gaussian_unknown_mean", "--steps", "1", "--seed", "1", "--lr=--",
+      "--net-out", "net.json"], "--lr"),
+    (["infer", "--model", "gaussian_unknown_mean", "--observation", "obs.json",
+      "--particles=--", "--seed", "1", "--out", "o.json"], "--particles"),
+    (["inspect", "--traces", "t.jsonl", "--dot-out", "g.dot", "--stats-out", "s.json",
+      "--threshold=--"], "--threshold"),
+], ids=["generate", "train", "infer", "inspect"])
+def test_an_option_written_as_name_equals_dashes_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                                   argv, option):
+    # argparse reads --name=-- as an empty list; the parent ended in a TypeError traceback
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument {option}: expected one argument" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # drawn command-line inputs
 
@@ -476,7 +549,7 @@ def _non_finite(line, field, value):
 
 
 # counts stay small so that a valid draw runs quickly; a seed may be huge
-_BAD_INT = st.sampled_from(["", "x", "1.5", "1e3", "0x10"])
+_BAD_INT = st.sampled_from(["", "x", "1.5", "1e3", "0x10", "--"])
 _COUNT_TEXT = st.one_of(st.integers(-1, 12).map(str), _BAD_INT)
 _SEED_TEXT = st.one_of(st.integers(-1, 12).map(str), st.just(str(2**64)), _BAD_INT)
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -486,18 +559,32 @@ _TRACES = st.one_of(
     st.builds(_non_finite, st.sampled_from(_TRACE_LINES),
               st.sampled_from(["log_weight", "trace_id", "value"]), _NON_FINITE),
 )
-# y drawn from every float, NaN, infinities and overflowing magnitudes included
-_OBSERVATION = st.one_of(st.floats(), st.booleans()).map(
+# y drawn from every JSON type: every float (NaN, infinities and overflowing
+# magnitudes included), any integer, booleans, null, strings, lists and objects
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=2),
+    max_leaves=5)
+_OBSERVATION = _JSON.map(
     lambda y: json.dumps({"model": "gaussian_unknown_mean", "values": {"y": y}}))
+# SMALL_TAU's config with fields, or cells of list fields, of the wrong type
+_WRONG_TYPE = st.none() | st.booleans() | st.text(max_size=3) | st.lists(
+    st.none() | st.booleans() | st.text(max_size=2) | st.floats(0, 1), max_size=4)
+_TAU_CELLS = make_observation("tau_decay_toy", 3, SMALL_TAU)[0]["cells"]
+_TAU_OBSERVATION = st.dictionaries(
+    st.sampled_from(sorted(SMALL_TAU.to_dict())), _WRONG_TYPE, min_size=1, max_size=2).map(
+    lambda patch: json.dumps({"model": "tau_decay_toy", "values": {"cells": _TAU_CELLS},
+                              "config": {**SMALL_TAU.to_dict(), **patch}}))
 _STEPS = st.one_of(st.integers(-1, 3).map(str), _BAD_INT)
 # any float's text, NaN and infinities included, or not a number at all
 _LR_TEXT = st.one_of(_NON_FINITE.map(repr), st.floats().map(repr),
-                     st.sampled_from(["", "x", "1e", "0x10", "1,5"]))
+                     st.sampled_from(["", "x", "1e", "0x10", "1,5", "--"]))
+_INFER = _OBSERVATION | _TAU_OBSERVATION
 _PAYLOADS = {
     "generate": st.just(""),
     "train": st.just(""),
-    "infer": st.one_of(_OBSERVATION,
-                       st.builds(lambda text, k: text[:k], _OBSERVATION, st.integers(0, 40))),
+    "infer": st.one_of(_INFER, st.builds(lambda text, k: text[:k], _INFER, st.integers(0, 40))),
     "inspect": _TRACES,
 }
 
@@ -511,14 +598,16 @@ def test_drawn_inputs_exit_0_1_or_2_with_an_error_line(command, count, seed, dat
         path, out = os.path.join(tmp, "input"), os.path.join(tmp, "out")
         with open(path, "wb") as fh:
             fh.write(payload)
+        # counts and --lr are written as --name=text, so "--" reaches the option
         argv = {
-            "generate": ["generate", "--model", "rejection_demo", "--n", count,
+            "generate": ["generate", "--model", "rejection_demo", f"--n={count}",
                          "--seed", seed, "--out", out],
             "train": ["train", "--model", "gaussian_unknown_mean", "--steps", data.draw(_STEPS),
                       "--seed", seed, "--batch-size", "1", f"--lr={data.draw(_LR_TEXT)}",
                       "--net-out", out],
-            "infer": ["infer", "--model", "gaussian_unknown_mean", "--observation", path,
-                      "--particles", count, "--seed", seed, "--out", out],
+            "infer": ["infer", "--observation", path, f"--particles={count}", "--seed", seed,
+                      "--out", out, "--model", "tau_decay_toy" if b'"tau_decay_toy"' in payload
+                      else "gaussian_unknown_mean"],
             "inspect": ["inspect", "--traces", path, "--dot-out", out,
                         "--stats-out", out + ".json"],
         }[command]

@@ -161,10 +161,13 @@ def test_guided_tau_rejects_a_non_finite_cell_by_index():
         cells = json.load(fh)["observations"][0]["cells"]
     cells[17] = math.nan
     obs = {"cells": cells}
+    # the spec names the key first; the vector goes in unchecked to reach encode_obs's own check
+    with pytest.raises(ConfigError, match=r"observation cells\[17\] is not finite: nan"):
+        TAU.obs_to_vector(obs)
     with pytest.raises(ConfigError, match=r"observation cell 17 is not finite: nan"):
         sis_infer(TAU.run, obs, 10,
                   TrainedProposal(load_net(os.path.join(INPUTS, "tau_net.json")),
-                                  TAU.obs_to_vector(obs)))
+                                  np.asarray(cells)))
 
 
 def test_loss_with_head_frozen_to_prior_equals_prior_nll():

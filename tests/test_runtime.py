@@ -448,8 +448,7 @@ def _observe_block(batched, pre, sites, mu, sigma, values):
             ctx.observe_normal_many(sites, np.array(mu), np.array(sigma), values)
         else:
             for i, s in enumerate(sites):
-                v = None if values is None else float(values[i])
-                ctx.observe(s, Normal(mu[i], sigma[i]), v)
+                ctx.observe(s, Normal(mu[i], sigma[i]), None if values is None else values[i])
 
     return body
 
@@ -498,10 +497,10 @@ def test_observe_normal_many_matches_scalar_loop(mode, seed, sites, pre, retries
     assert got.counters.snapshot() == want.counters.snapshot()
     assert got.obs_rng.random() == want.obs_rng.random()
     if values is not None:
-        # guided entries hold the observation's own float objects
+        # guided entries hold the observation's own objects, ints as well as floats
         batch = got.trace.observes[-n:] if n else []
         for o, v in zip(batch, values):
-            assert type(v) is not float or o.value is v
+            assert o.value is v
 
 
 BAD_PARAMS = {

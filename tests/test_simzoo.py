@@ -180,6 +180,38 @@ def test_obs_vector_rejects_wrong_cell_count():
         spec.obs_to_vector({"cells": [0.0, 1.0]})
 
 
+def _cells_with(index, value):
+    obs, _ = make_observation("tau_decay_toy", 9)
+    obs["cells"][index] = value
+    return obs
+
+
+@pytest.mark.parametrize("name, obs, message", [
+    ("gaussian_unknown_mean", {"y": "1.5"}, "observation y is not a number: '1.5'"),
+    ("gaussian_unknown_mean", {"y": None}, "observation y is not a number: None"),
+    ("rejection_demo", {"y": True}, "observation y is a boolean: True"),
+    ("rejection_demo", {"y": math.nan}, "observation y is not finite: nan"),
+    ("gaussian_unknown_mean", {"y": 10**309}, "observation y is not finite: 1000"),
+    ("tau_decay_toy", _cells_with(3, "1.5"), "observation cells[3] is not a number: '1.5'"),
+    ("tau_decay_toy", _cells_with(3, None), "observation cells[3] is not a number: None"),
+    ("tau_decay_toy", _cells_with(3, False), "observation cells[3] is a boolean: False"),
+    ("tau_decay_toy", _cells_with(3, -math.inf), "observation cells[3] is not finite: -inf"),
+    ("tau_decay_toy", _cells_with(3, [0.5]), "observation cells[3] is not a number: [0.5]"),
+], ids=["string", "null", "bool", "nan", "int beyond float", "cell string", "cell null",
+        "cell bool", "cell inf", "nested cell"])
+def test_obs_to_vector_names_a_value_that_is_not_a_finite_number(name, obs, message):
+    with pytest.raises(ConfigInvalid) as exc:
+        get_model(name).obs_to_vector(obs)
+    assert str(exc.value).startswith(message)
+
+
+def test_obs_to_vector_converts_ints_and_lets_unread_keys_hold_other_values():
+    # a key the model does not read is checked only for booleans and non-finite floats
+    vec = get_model("gaussian_unknown_mean").obs_to_vector(
+        {"y": 2, "note": "x", "more": [None, [1], "2"]})
+    assert vec.dtype == np.float64 and vec.tolist() == [2.0]
+
+
 def test_scalar_models_pack_roundtrip():
     for name, key in (("gaussian_unknown_mean", "y"), ("rejection_demo", "y")):
         spec = get_model(name)
