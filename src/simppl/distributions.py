@@ -118,14 +118,14 @@ class Normal(_Family):
 
 
 def normal_log_probs(x, mu, sigma):
-    """Normal(mu[i], sigma[i]).log_prob(x[i]) for float arrays, bit for bit.
+    """Normal(mu[i], sigma[i]).log_prob(x[i]) for float arrays of one shape, bit for bit.
 
     log(sigma) goes through math.log per element because np.log can differ
     from it in the last bit; the rest is the same IEEE arithmetic in numpy.
     """
     z = (x - mu) / sigma
-    log_sigma = np.fromiter(map(math.log, sigma.tolist()), float, len(sigma))
-    return -0.5 * z * z - log_sigma - 0.5 * _LOG_2PI
+    log_sigma = np.fromiter(map(math.log, sigma.ravel().tolist()), float, sigma.size)
+    return -0.5 * z * z - log_sigma.reshape(sigma.shape) - 0.5 * _LOG_2PI
 
 
 class Uniform(_Family):

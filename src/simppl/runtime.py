@@ -18,9 +18,10 @@ TraceEntry. Every mode appends (scope_id, retries) to trace.scope_executions
 as each rejection scope exits, inner scopes before the scope that holds them.
 
 run_model executes a model once and sets its trace's log_weight. run_batch
-yields n executions one at a time, run i seeded by
-derived_seed(master_seed, *key, i); inference, trace generation,
-architecture discovery and training batches all draw their runs from it.
+yields n executions one at a time, run i seeded by derived_seed(master_seed,
+*key, i); inference, trace generation, architecture discovery and training
+batches all draw their runs from it, unconditioned ones through a model's
+vectorised body a chunk at a time when given one, with the same traces.
 Latent draws consume RNG stream 0 of the execution seed and synthetic
 observations stream 1, so prior and guided executions with the same seed see
 identical latent randomness; stream 1 is created on the first synthetic draw.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -154,28 +156,8 @@ class ExecutionContext:
         with one draw for all sites when values is None (prior/record mode). The
         trace holds the values as given, by reference, or as drawn; returns a new list.
         """
-        site_ids = tuple(site_ids)
-        n = len(site_ids)
-        mu = np.asarray(mu, dtype=float)
-        sigma = np.asarray(sigma, dtype=float)
-        sizes = [len(a) if a.ndim == 1 else 0 for a in (mu, sigma)]
-        if values is not None:
-            sizes.append(len(values))
-        if any(k != n for k in sizes):
-            # the first site left without a parameter or value, else the last
-            at = self._site_name(site_ids[min(min(sizes), n - 1)]) if n else "no sites"
-            raise DimensionMismatch(
-                f"observe_normal_many at {at}: {n} site ids, "
-                f"lengths (mu, sigma{', values' if values is not None else ''}) = {sizes}"
-            )
-        bad = ~(np.isfinite(mu) & np.isfinite(sigma) & (sigma > 0))
-        if bad.any():
-            i = int(bad.argmax())
-            raise ParameterError(
-                f"observe at {self._site_name(site_ids[i])}: need finite mu and positive "
-                f"finite sigma, got mu={float(mu[i])!r}, sigma={float(sigma[i])!r}"
-            )
-        if not n:
+        site_ids, mu, sigma = _normal_params([self], (), site_ids, mu, sigma, values)
+        if not site_ids:
             return []
         addrs = self.counters.extend_many(self._path, site_ids, "Normal")
         self._last_address = addrs[-1]
@@ -269,6 +251,49 @@ class FixedProposal:
         return entry(prior) if callable(entry) else entry
 
 
+def observe_normal_batch(ctxs, site_ids, mu, sigma):
+    """observe_normal_many(site_ids, mu[r], sigma[r]) in each unconditioned context
+    ctxs[r], leaving the same traces, counters and obs_rng states, with one parameter
+    check and one log-density pass over the (contexts, sites) arrays."""
+    site_ids, mu, sigma = _normal_params(ctxs, (len(ctxs),), site_ids, mu, sigma)
+    if not mu.size:
+        return
+    addrs, drawn = [], []
+    for ctx, m, s in zip(ctxs, mu, sigma):
+        addrs.append(ctx.counters.extend_many(ctx._path, site_ids, "Normal"))
+        ctx._check_unconditioned(addrs[-1][0])
+        drawn.append(ctx.obs_rng.normal(m, s))
+    log_liks = normal_log_probs(np.array(drawn), mu, sigma)
+    for ctx, a, values, ll in zip(ctxs, addrs, drawn, log_liks):
+        ctx.trace.observe_blocks.append((a, ll, values))
+
+
+def _normal_params(ctxs, lead, site_ids, mu, sigma, values=None):
+    """(site ids, mu, sigma) checked, mu and sigma as float arrays of shape lead + (sites,)
+    whose row r is ctxs[r]'s; an error names the first site at fault, or the last if none is."""
+    site_ids = tuple(site_ids)
+    n = len(site_ids)
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    sizes = [a.shape[-1] if a.ndim and a.shape[:-1] == lead else 0 for a in (mu, sigma)]
+    if values is not None:
+        sizes.append(len(values))
+    if any(k != n for k in sizes):
+        at = ctxs[0]._site_name(site_ids[min(min(sizes), n - 1)]) if n else "no sites"
+        raise DimensionMismatch(
+            f"observe_normal_many at {at}: {n} site ids, "
+            f"lengths (mu, sigma{', values' if values is not None else ''}) = {sizes}"
+        )
+    bad = ~(np.isfinite(mu) & np.isfinite(sigma) & (sigma > 0))
+    if bad.any():
+        r, i = divmod(k := int(bad.argmax()), n)
+        raise ParameterError(
+            f"observe at {ctxs[r]._site_name(site_ids[i])}: need finite mu and positive "
+            f"finite sigma, got mu={float(mu.flat[k])!r}, sigma={float(sigma.flat[k])!r}"
+        )
+    return site_ids, mu, sigma
+
+
 def _stream(ss, k):
     """ss.spawn(2)[k] of a fresh ss, without advancing ss's spawn counter."""
     return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (k,), pool_size=ss.pool_size)
@@ -279,14 +304,39 @@ def derived_seed(master_seed, *key):
     return np.random.SeedSequence(entropy=master_seed, spawn_key=key)
 
 
-def run_batch(model, mode, master_seed, n, *key, observation=None, proposal_source=None):
+_CHUNK = 64  # runs per run_many call: small arrays, and the first trace waits for one chunk
+
+
+def run_batch(model, mode, master_seed, n, *key, observation=None, proposal_source=None,
+              run_many=None):
     """Yield n executions in order, one at a time: run i is seeded by
-    derived_seed(master_seed, *key, i) and carries trace_id i."""
-    for i in range(n):
-        trace = run_model(model, mode, derived_seed(master_seed, *key, i),
-                          observation=observation, proposal_source=proposal_source)
+    derived_seed(master_seed, *key, i) and carries trace_id i.
+
+    run_many, a model's vectorised body over a list of contexts, runs unconditioned prior and
+    record batches _CHUNK runs at a time, with the scalar body's traces. A chunk it fails runs
+    again through model: the run at fault raises its error, or else run_many's error follows."""
+    seeds = (derived_seed(master_seed, *key, i) for i in range(n))
+    if run_many is None or observation is not None or Mode(mode) is Mode.GUIDED:
+        traces = (run_model(model, mode, s, observation=observation,
+                            proposal_source=proposal_source) for s in seeds)
+    else:
+        traces = _run_chunks(model, run_many, mode, seeds)
+    for i, trace in enumerate(traces):
         trace.trace_id = i
         yield trace
+
+
+def _run_chunks(model, run_many, mode, seeds):
+    while chunk := list(itertools.islice(seeds, _CHUNK)):
+        ctxs = [ExecutionContext(mode, s) for s in chunk]
+        try:
+            run_many(ctxs)
+            traces = [_finish(ctx) for ctx in ctxs]
+        except Exception:
+            for s in chunk:  # the scalar body raises the error of the run at fault, if any
+                yield run_model(model, mode, s)
+            raise
+        yield from traces
 
 
 def run_model(model, mode, seed, observation=None, proposal_source=None):
@@ -304,6 +354,11 @@ def run_model(model, mode, seed, observation=None, proposal_source=None):
         raise
     except Exception as exc:
         raise ModelExecutionError(ctx._last_address, exc) from exc
+    return _finish(ctx)
+
+
+def _finish(ctx):
+    """The context's trace with log_weight set; ScopeError for an open scope."""
     if ctx._scopes:
         open_ids = ", ".join(s.scope_id for s in ctx._scopes)
         raise ScopeError(f"model exited with open scope(s): {open_ids}")

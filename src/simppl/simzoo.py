@@ -26,7 +26,7 @@ from scipy.special import ndtr
 
 from .distributions import Categorical, Exponential, Normal, Uniform
 from .errors import ConfigInvalid, UnsupportedModel
-from .runtime import Mode, run_model
+from .runtime import Mode, observe_normal_batch, run_model
 from .trace import column_list
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -106,14 +106,14 @@ class TauToyConfig:
             raise ConfigInvalid("n_channels must be >= 1")
         if len(self.channel_prior) != self.n_channels:
             raise ConfigInvalid("channel_prior length must equal n_channels")
-        if abs(sum(self.channel_prior) - 1.0) > 1e-9 or min(self.channel_prior) < 0:
+        if not abs(sum(self.channel_prior) - 1.0) <= 1e-9 or min(self.channel_prior) < 0:
             raise ConfigInvalid("channel_prior must be a probability vector")
         if len(self.grid) != 3 or min(self.grid) < 1:
             raise ConfigInvalid("grid must be three positive extents (depth, x, y)")
-        if not self.momentum_scale > 0:
-            raise ConfigInvalid("momentum_scale must be positive")
-        if not self.noise_sigma > 0:
-            raise ConfigInvalid("noise_sigma must be positive")
+        if not 0 < self.momentum_scale < math.inf:
+            raise ConfigInvalid("momentum_scale must be positive and finite")
+        if not 0 < self.noise_sigma < math.inf:
+            raise ConfigInvalid("noise_sigma must be positive and finite")
         if len(self.depth_profiles) != self.n_channels:
             raise ConfigInvalid("one depth profile per channel required")
         if len(self.channel_kinds) != self.n_channels:
@@ -123,7 +123,7 @@ class TauToyConfig:
         for c, row in enumerate(self.depth_profiles):
             if len(row) != depth:
                 raise ConfigInvalid(f"depth profile {c} must have {depth} fractions")
-            if min(row) < 0 or abs(sum(row) - 1.0) > 1e-9:
+            if min(row) < 0 or not abs(sum(row) - 1.0) <= 1e-9:  # a NaN sum fails <=
                 raise ConfigInvalid(f"depth profile {c} must be a probability vector")
             front = sum(row[:half])
             kind = self.channel_kinds[c]
@@ -135,10 +135,10 @@ class TauToyConfig:
                 raise ConfigInvalid(f"unknown channel kind {kind!r}")
         if not 0 < self.theta_max < math.pi / 2:
             raise ConfigInvalid("theta_max must lie in (0, pi/2)")
-        if self.lever_arm < 0:
-            raise ConfigInvalid("lever_arm must be >= 0")
-        if not self.spot_sigma > 0:
-            raise ConfigInvalid("spot_sigma must be positive")
+        if not 0 <= self.lever_arm < math.inf:
+            raise ConfigInvalid("lever_arm must be >= 0 and finite")
+        if not 0 < self.spot_sigma < math.inf:
+            raise ConfigInvalid("spot_sigma must be positive and finite")
 
     def to_dict(self):
         """Every field in declaration order, tuples as (nested) lists."""
@@ -165,41 +165,62 @@ def _cell_site_ids(grid):
     return tuple(f"cal_{i}_{j}_{k}" for i in range(d) for j in range(x) for k in range(y))
 
 
-def _axis_weights(n, center, sigma):
-    edges = (np.arange(n + 1) - 0.5 - center) / sigma
-    cdf = ndtr(edges)
-    return cdf[1:] - cdf[:-1]
+def _axis_weights(n, centers, sigma):
+    """Normal(center, sigma) mass of each of n unit cells, one row per center."""
+    cdf = ndtr((np.arange(-0.5, n + 0.5) - centers[:, None]) / sigma)
+    return cdf[:, 1:] - cdf[:, :-1]
 
 
-def deposit_image(cfg, channel, pmag, theta, phi):
-    """Deterministic expected deposit, shape grid, summing exactly to pmag."""
-    depth, nx, ny = cfg.grid
-    offset = cfg.lever_arm * math.tan(theta)
-    cx = (nx - 1) / 2.0 + offset * math.cos(phi)
-    cy = (ny - 1) / 2.0 + offset * math.sin(phi)
+def deposit_image(cfg, latents):
+    """Deterministic expected deposits, one per (channel, pmag, theta, phi)
+    row of latents: shape (rows,) + grid, each image summing exactly to its pmag."""
+    _, nx, ny = cfg.grid
+    centers, scales = [], []
+    for channel, pmag, theta, phi in latents:
+        offset = cfg.lever_arm * math.tan(theta)
+        centers.append(((nx - 1) / 2.0 + offset * math.cos(phi),
+                        (ny - 1) / 2.0 + offset * math.sin(phi)))
+        scales.append([pmag * f for f in cfg.depth_profiles[channel]])
+    cx, cy = np.array(centers).T
     wx = _axis_weights(nx, cx, cfg.spot_sigma)
     wy = _axis_weights(ny, cy, cfg.spot_sigma)
-    spot = np.outer(wx, wy)
-    spot /= spot.sum()
-    profile = np.asarray(cfg.depth_profiles[channel])
-    return pmag * profile[:, None, None] * spot[None, :, :]
+    spot = wx[:, :, None] * wy[:, None, :]
+    spot /= spot.sum(axis=(1, 2), keepdims=True)
+    return np.array(scales)[:, :, None, None] * spot[:, None, :, :]
 
 
-def tau_decay_toy(ctx, cfg=DEFAULT_TAU_CONFIG):
-    channel = ctx.sample("channel", Categorical(cfg.channel_prior))
-    pmag = ctx.sample("pmag", Exponential(1.0 / cfg.momentum_scale))
-    theta = ctx.sample("theta", Uniform(0.0, cfg.theta_max))
-    phi = ctx.sample("phi", Uniform(-math.pi, math.pi))
+def _tau_priors(cfg):
+    return {"channel": Categorical(cfg.channel_prior),
+            "pmag": Exponential(1.0 / cfg.momentum_scale),
+            "theta": Uniform(0.0, cfg.theta_max), "phi": Uniform(-math.pi, math.pi)}
 
-    expected = deposit_image(cfg, channel, pmag, theta, phi).ravel()
-    sigmas = cfg.noise_sigma * np.maximum(expected, ENERGY_FLOOR)
-    ctx.observe_normal_many(_cell_site_ids(cfg.grid), expected, sigmas, ctx.observed("cells"))
 
+def _tau_predict(ctx, channel, pmag, theta, phi):
     sin_t = math.sin(theta)
     ctx.predict("channel", int(channel))
     ctx.predict("p_x", pmag * sin_t * math.cos(phi))
     ctx.predict("p_y", pmag * sin_t * math.sin(phi))
     ctx.predict("p_z", pmag * math.cos(theta))
+
+
+def tau_decay_toy(ctx, cfg=DEFAULT_TAU_CONFIG):
+    latents = [ctx.sample(site, prior) for site, prior in _tau_priors(cfg).items()]
+    expected = deposit_image(cfg, [latents]).ravel()
+    sigmas = cfg.noise_sigma * np.maximum(expected, ENERGY_FLOOR)
+    ctx.observe_normal_many(_cell_site_ids(cfg.grid), expected, sigmas, ctx.observed("cells"))
+    _tau_predict(ctx, *latents)
+
+
+def tau_decay_toy_many(ctxs, cfg=DEFAULT_TAU_CONFIG):
+    """tau_decay_toy in each of a list of unconditioned contexts, bit for bit: each draws
+    from its own streams; the images, checks and likelihoods are one numpy pass."""
+    priors = _tau_priors(cfg).items()
+    latents = [[ctx.sample(site, prior) for site, prior in priors] for ctx in ctxs]
+    expected = deposit_image(cfg, latents).reshape(len(ctxs), -1)
+    sigmas = cfg.noise_sigma * np.maximum(expected, ENERGY_FLOOR)
+    observe_normal_batch(ctxs, _cell_site_ids(cfg.grid), expected, sigmas)
+    for ctx, row in zip(ctxs, latents):
+        _tau_predict(ctx, *row)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +236,7 @@ class ModelSpec:
     obs_to_vector: object
     observation_from_values: object
     config: object = None
+    run_many: object = None  # vectorised body over a list of unconditioned contexts, if any
 
 
 def _obs_converter(name, key, n_cells=None):
@@ -266,7 +288,8 @@ def _tau_spec(name, body, config):
 
     return ModelSpec(name, lambda ctx: body(ctx, cfg),
                      _obs_converter(name, "cells", math.prod(cfg.grid)),
-                     observation_from_values, config=cfg)
+                     observation_from_values, config=cfg,
+                     run_many=lambda ctxs: tau_decay_toy_many(ctxs, cfg))
 
 
 def _model_row(name):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -420,6 +421,25 @@ def test_infer_rejects_a_tau_config_field_of_the_wrong_type(tmp_path, capsys, pa
     assert capsys.readouterr().err == f"error: bad tau_decay_toy config: {message}\n"
 
 
+@pytest.mark.parametrize("patch, message", [
+    ({"channel_prior": [math.nan, 0.4]}, "channel_prior must be a probability vector"),
+    ({"depth_profiles": [[0.8, 0.2], [math.nan, 0.7]]},
+     "depth profile 1 must be a probability vector"),
+    ({"lever_arm": math.nan}, "lever_arm must be >= 0 and finite"),
+    ({"momentum_scale": math.inf}, "momentum_scale must be positive and finite"),
+    ({"noise_sigma": math.inf}, "noise_sigma must be positive and finite"),
+    ({"spot_sigma": math.inf}, "spot_sigma must be positive and finite"),
+], ids=["channel_prior", "depth_profiles", "lever_arm", "momentum_scale", "noise_sigma",
+        "spot_sigma"])
+def test_infer_rejects_a_non_finite_tau_config_number(tmp_path, capsys, patch, message):
+    # each passed the config's checks at the parent, and infer exited 1 (an
+    # infinite spot_sigma with a numpy RuntimeWarning too)
+    values, _ = make_observation("tau_decay_toy", 3, SMALL_TAU)
+    config = {**SMALL_TAU.to_dict(), **patch}
+    assert _infer(tmp_path, "tau_decay_toy", {"cells": values["cells"]}, config) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_infer_rejects_a_network_for_another_observation_size(tmp_path, capsys, monkeypatch):
     net_path = tmp_path / "net.json"
     assert cli.main(["train", "--model", "gaussian_unknown_mean", "--steps", "1",
@@ -568,12 +588,15 @@ _JSON = st.recursive(
     max_leaves=5)
 _OBSERVATION = _JSON.map(
     lambda y: json.dumps({"model": "gaussian_unknown_mean", "values": {"y": y}}))
-# SMALL_TAU's config with fields, or cells of list fields, of the wrong type
-_WRONG_TYPE = st.none() | st.booleans() | st.text(max_size=3) | st.lists(
-    st.none() | st.booleans() | st.text(max_size=2) | st.floats(0, 1), max_size=4)
+# SMALL_TAU's config with fields, or cells of list fields, of the wrong type or
+# not finite
+_BAD_CONFIG_VALUE = st.none() | st.booleans() | st.text(max_size=3) | _NON_FINITE | st.lists(
+    st.none() | st.booleans() | st.text(max_size=2) | st.floats(0, 1) | _NON_FINITE,
+    max_size=4)
 _TAU_CELLS = make_observation("tau_decay_toy", 3, SMALL_TAU)[0]["cells"]
 _TAU_OBSERVATION = st.dictionaries(
-    st.sampled_from(sorted(SMALL_TAU.to_dict())), _WRONG_TYPE, min_size=1, max_size=2).map(
+    st.sampled_from(sorted(SMALL_TAU.to_dict())), _BAD_CONFIG_VALUE, min_size=1,
+    max_size=2).map(
     lambda patch: json.dumps({"model": "tau_decay_toy", "values": {"cells": _TAU_CELLS},
                               "config": {**SMALL_TAU.to_dict(), **patch}}))
 _STEPS = st.one_of(st.integers(-1, 3).map(str), _BAD_INT)
@@ -653,8 +676,8 @@ def test_generate_streams_each_trace_to_the_file(tmp_path, capsys, monkeypatch, 
     events = []
     real_run_batch, real_write = cli.run_batch, cli.write_traces
 
-    def run_batch_logged(*args):
-        for trace in real_run_batch(*args):
+    def run_batch_logged(*args, **kwargs):
+        for trace in real_run_batch(*args, **kwargs):
             events.append(("run", trace.trace_id))
             yield trace
 
@@ -673,6 +696,34 @@ def test_generate_streams_each_trace_to_the_file(tmp_path, capsys, monkeypatch, 
     assert out.read_text() == "".join(trace_to_line(t) + "\n" for t in traces)
     mean_length = sum(t.length for t in traces) / n if n else 0.0
     assert json.loads(capsys.readouterr().out) == {"n": n, "mean_length": mean_length}
+
+
+def test_generate_failing_inside_a_vectorised_chunk_writes_the_traces_before_the_failing_run(
+        tmp_path, capsys, monkeypatch):
+    spec = simzoo.get_model("tau_decay_toy")
+    assert spec.run_many is not None
+    want = list(run_batch(spec.run, Mode.PRIOR, 3, 71))
+    bad_pmag = want[-1].entries[1].value  # run 70's momentum, in the second chunk
+    real_deposit = simzoo.deposit_image
+
+    def deposit(cfg, latents):
+        if any(row[1] == bad_pmag for row in latents):
+            raise ValueError("deposit failed")
+        return real_deposit(cfg, latents)
+
+    monkeypatch.setattr(simzoo, "deposit_image", deposit)
+    results = []
+    for model_spec in (spec, dataclasses.replace(spec, run_many=None)):  # then scalar only
+        monkeypatch.setattr(simzoo, "get_model", lambda name, config=None: model_spec)
+        out = tmp_path / "t.jsonl"
+        rc = cli.main(["generate", "--model", "tau_decay_toy", "--n", "200", "--seed", "3",
+                       "--out", str(out)])
+        results.append((rc, out.read_text(), capsys.readouterr()))
+    assert results[0] == results[1]
+    rc, text, captured = results[0]
+    assert rc == 1
+    assert text == "".join(trace_to_line(t) + "\n" for t in want[:-1])
+    assert captured.err == "error: model failed after phi:Uniform#0: ValueError('deposit failed')\n"
 
 
 def test_inspect_rejects_fields_of_the_wrong_type(tmp_path, capsys):

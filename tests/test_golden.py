@@ -29,7 +29,7 @@ import pytest
 
 from simppl import cli, net, simzoo
 from simppl.distributions import ScaledBeta
-from simppl.runtime import FixedProposal, Mode, run_model
+from simppl.runtime import FixedProposal, Mode, run_batch, run_model
 from simppl.sis import particle_seed, sis_infer
 from simppl.trace import trace_to_line
 
@@ -84,9 +84,13 @@ def _tau_rows():
 def traces_digest(model, mode):
     """Each run's JSONL line, predicts and observed values."""
     spec = simzoo.get_model(model)
+    return _traces_sha(run_model(spec.run, mode, particle_seed(17, i))
+                       for i in range(RUNS[model]))
+
+
+def _traces_sha(traces):
     parts = []
-    for i in range(RUNS[model]):
-        trace = run_model(spec.run, mode, particle_seed(17, i))
+    for trace in traces:
         parts.append(trace_to_line(trace))
         parts.append(repr(sorted(trace.predicts.items())))
         parts.append(repr([o.value for o in trace.observes]))
@@ -219,6 +223,15 @@ def cli_digest(tmp):
 @pytest.mark.parametrize("mode", [Mode.PRIOR, Mode.RECORD])
 def test_prior_and_record_traces_match_golden(model, mode):
     assert traces_digest(model, mode) == GOLDEN[f"{model}-{mode.value}"]
+
+
+@pytest.mark.parametrize("mode", [Mode.PRIOR, Mode.RECORD])
+def test_vectorised_tau_traces_match_the_scalar_golden(mode):
+    spec = simzoo.get_model("tau_decay_toy")
+    traces = list(run_batch(spec.run, mode, 17, RUNS["tau_decay_toy"], run_many=spec.run_many))
+    for trace in traces:
+        trace.trace_id = 0  # as run_model leaves it
+    assert _traces_sha(traces) == GOLDEN[f"tau_decay_toy-{mode.value}"]
 
 
 def test_guided_rejection_traces_match_golden():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simppl import net, simzoo, sis
+from simppl import net, runtime, simzoo, sis
 from simppl import trace as trace_mod
 from simppl.distributions import Normal, ScaledBeta, Uniform
 from simppl.errors import (
@@ -679,3 +679,133 @@ def test_reading_observes_mid_scope_commits_the_same_trace(plan, retries, read_a
     got = run_model(_mixed_scope_model(plan, retries, read_at), Mode.RECORD, seed)
     assert trace_to_line(got) == trace_to_line(want)
     assert [o.value for o in got.observes] == [o.value for o in want.observes]
+
+
+# ---------------------------------------------------------------------------
+# vectorised bodies in run_batch
+
+ALT_TAU = simzoo.TauToyConfig(
+    n_channels=2, channel_prior=(0.6, 0.4), grid=(2, 3, 5), momentum_scale=5.0,
+    noise_sigma=0.5, depth_profiles=((0.8, 0.2), (0.3, 0.7)), channel_kinds=("em", "had"),
+    theta_max=0.4, lever_arm=1.0, spot_sigma=0.8,
+)
+CHUNK = runtime._CHUNK
+
+
+def _exact(trace):
+    """Every field of a trace, floats and arrays as their bytes."""
+    entries = [(e.address, e.params, type(e.value), repr(e.value), repr(e.log_p), repr(e.log_q),
+                e.scope_id, e.iteration, e.accepted) for e in trace.entries]
+    blocks = [(addrs, np.asarray(ll).tobytes(), np.asarray(v).tobytes())
+              for addrs, ll, v in trace.observe_blocks]
+    return (entries, blocks, repr(sorted(trace.predicts.items())), trace.log_weight.hex(),
+            trace.trace_id, trace.scope_executions, trace.proposal_fallbacks)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    master_seed=st.integers(0, 2**63),
+    key=st.lists(st.integers(0, 2**32 - 1), max_size=2),
+    n=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 3])
+    | st.integers(1, 2 * CHUNK + 3),
+    mode=st.sampled_from([Mode.PRIOR, Mode.RECORD]),
+    config=st.sampled_from([None, ALT_TAU]),
+)
+def test_vectorised_tau_batches_equal_the_scalar_runs(master_seed, key, n, mode, config):
+    spec = simzoo.get_model("tau_decay_toy", config)
+    want = [_exact(t) for t in run_batch(spec.run, mode, master_seed, n, *key)]
+    got = [_exact(t) for t in run_batch(spec.run, mode, master_seed, n, *key,
+                                        run_many=spec.run_many)]
+    assert got == want
+
+
+def _capped_uniform(ctx):
+    x = ctx.sample("x", Uniform(0.0, 1.0))
+    if x > 0.99:
+        raise ValueError(f"x = {x} is too large")
+    ctx.predict("x", x)
+
+
+def _capped_uniform_many(ctxs):
+    xs = [ctx.sample("x", Uniform(0.0, 1.0)) for ctx in ctxs]
+    if max(xs) > 0.99:
+        raise ValueError("an x is too large")
+    for ctx, x in zip(ctxs, xs):
+        ctx.predict("x", x)
+
+
+def _failing_many(ctxs):
+    for ctx in ctxs:
+        ctx.sample("x", Uniform(0.0, 1.0))
+    raise RuntimeError("vectorised body failed")
+
+
+def _drain(traces):
+    """The JSONL lines of the traces yielded before the error, and the error."""
+    lines = []
+    try:
+        for trace in traces:
+            lines.append(trace_to_line(trace))
+    except Exception as exc:
+        return lines, exc
+    return lines, None
+
+
+def test_a_failing_vectorised_body_raises_the_scalar_error_after_the_same_traces():
+    # seed 12: the first run over the cap is run 83, in the second chunk
+    want_lines, want = _drain(run_batch(_capped_uniform, Mode.PRIOR, 12, 3 * CHUNK))
+    got_lines, got = _drain(run_batch(_capped_uniform, Mode.PRIOR, 12, 3 * CHUNK,
+                                      run_many=_capped_uniform_many))
+    assert len(want_lines) == 83
+    assert got_lines == want_lines
+    assert type(got) is type(want) is ModelExecutionError
+    assert str(got) == str(want)
+    assert got.address == want.address
+
+
+def test_a_vectorised_body_failing_where_the_scalar_one_succeeds_raises_its_own_error():
+    def model(ctx):
+        ctx.predict("x", ctx.sample("x", Uniform(0.0, 1.0)))
+
+    want_lines, _ = _drain(run_batch(model, Mode.RECORD, 4, 2 * CHUNK))
+    got_lines, got = _drain(run_batch(model, Mode.RECORD, 4, 2 * CHUNK, run_many=_failing_many))
+    assert got_lines == want_lines[:CHUNK]
+    assert type(got) is RuntimeError and str(got) == "vectorised body failed"
+
+
+def test_a_vectorised_body_leaving_a_scope_open_raises_scope_error():
+    def model(ctx):
+        with ctx.rejection_scope("s"):
+            ctx.sample("x", Uniform(0.0, 1.0))
+
+    def many(ctxs):
+        for ctx in ctxs:
+            ctx.scope_begin("s")
+            ctx.sample("x", Uniform(0.0, 1.0))
+
+    assert len(list(run_batch(model, Mode.PRIOR, 1, 3))) == 3
+    with pytest.raises(ScopeError, match=r"model exited with open scope\(s\): s"):
+        list(run_batch(model, Mode.PRIOR, 1, 3, run_many=many))
+
+
+def test_the_first_trace_of_a_long_batch_runs_one_chunk():
+    spec = simzoo.get_model("tau_decay_toy")
+    sizes = []
+
+    def counted(ctxs):
+        sizes.append(len(ctxs))
+        spec.run_many(ctxs)
+
+    first = next(run_batch(spec.run, Mode.PRIOR, 1, 10**6, run_many=counted))
+    assert sizes == [CHUNK]
+    assert _exact(first) == _exact(run_model(spec.run, Mode.PRIOR, derived_seed(1, 0)))
+
+
+def test_guided_and_conditioned_batches_keep_the_scalar_body():
+    spec = simzoo.get_model("tau_decay_toy")
+    observation, _ = simzoo.make_observation("tau_decay_toy", 2)
+    for mode in Mode:
+        traces = run_batch(spec.run, mode, 3, 2, observation=observation,
+                           run_many=_failing_many)
+        assert [_exact(t) for t in traces] == [
+            _exact(t) for t in run_batch(spec.run, mode, 3, 2, observation=observation)]

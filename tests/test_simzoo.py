@@ -108,22 +108,21 @@ def test_tau_config_validation(patch):
     phi=st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False),
 )
 def test_deposit_conserves_energy(channel, pmag, theta, phi):
-    img = deposit_image(DEFAULT_TAU_CONFIG, channel, pmag, theta, phi)
+    img = deposit_image(DEFAULT_TAU_CONFIG, [(channel, pmag, theta, phi)])[0]
     assert img.shape == DEFAULT_TAU_CONFIG.grid
     assert img.sum() == pytest.approx(pmag, rel=1e-12)
     assert (img >= 0).all()
 
 
 def test_deposit_depth_split_follows_profile():
-    img = deposit_image(DEFAULT_TAU_CONFIG, 0, 10.0, 0.0, 0.0)
+    img = deposit_image(DEFAULT_TAU_CONFIG, [(0, 10.0, 0.0, 0.0)])[0]
     per_layer = img.sum(axis=(1, 2))
     assert per_layer == pytest.approx(
         10.0 * np.asarray(DEFAULT_TAU_CONFIG.depth_profiles[0]), rel=1e-12)
 
 
 def test_deposit_spot_moves_with_angle():
-    head_on = deposit_image(DEFAULT_TAU_CONFIG, 0, 10.0, 0.0, 0.0)
-    tilted = deposit_image(DEFAULT_TAU_CONFIG, 0, 10.0, 0.4, 0.0)
+    head_on, tilted = deposit_image(DEFAULT_TAU_CONFIG, [(0, 10.0, 0.0, 0.0), (0, 10.0, 0.4, 0.0)])
     nx = DEFAULT_TAU_CONFIG.grid[1]
     xs = np.arange(nx)
     cx_head = (head_on.sum(axis=(0, 2)) * xs).sum() / 10.0
@@ -275,7 +274,7 @@ def _brute_force_tau(cfg, cells, n_p=600, n_t=32, n_f=64):
         mom = np.zeros(3)
         for t in ts:
             for f in fs:
-                base = deposit_image(cfg, channel, 1.0, t, f).ravel()
+                base = deposit_image(cfg, [(channel, 1.0, t, f)]).ravel()
                 ll = _cell_loglik(cfg, cells, ps[:, None] * base[None, :])
                 w = np.exp(ll - 700.0) * p_prior
                 m += cfg.channel_prior[channel] * w.sum()
@@ -319,9 +318,8 @@ def test_tau_oracle_against_weighted_prior_monte_carlo():
     for i in range(n):
         tr = run_model(spec.run, Mode.PRIOR, particle_seed(123, i))
         lat = {e.address.head_key: e.value for e in tr.entries}
-        img = deposit_image(SMALL_TAU, lat["channel:Categorical"],
-                            lat["pmag:Exponential"], lat["theta:Uniform"],
-                            lat["phi:Uniform"]).ravel()
+        img = deposit_image(SMALL_TAU, [(lat["channel:Categorical"], lat["pmag:Exponential"],
+                                         lat["theta:Uniform"], lat["phi:Uniform"])]).ravel()
         logw[i] = _cell_loglik(SMALL_TAU, cells, img)
         chans[i] = tr.predicts["channel"]
         moms[i] = (tr.predicts["p_x"], tr.predicts["p_y"], tr.predicts["p_z"])
