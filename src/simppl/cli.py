@@ -106,7 +106,7 @@ def cmd_generate(args):
             counts[1] += trace.length
             yield trace
 
-    traces = run_batch(spec.run, Mode(args.mode), args.seed, args.n, run_many=spec.run_many)
+    traces = run_batch(spec.run, Mode(args.mode), args.seed, args.n)
     write_traces(args.out, counted(traces))
     n, total = counts
     print(json.dumps({"n": n, "mean_length": total / n if n else 0.0}))

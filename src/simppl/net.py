@@ -305,8 +305,7 @@ def discover_architecture(model_spec, master_seed, n_sims=_N_STANDARDIZE):
         raise ConfigError("n_sims must be >= 2")
     heads = {}
     obs_rows = []
-    run_many = getattr(model_spec, "run_many", None)  # a spec built by hand may lack one
-    for trace in run_batch(model_spec.run, Mode.RECORD, master_seed, n_sims, 1, run_many=run_many):
+    for trace in run_batch(model_spec.run, Mode.RECORD, master_seed, n_sims, 1):
         obs_rows.append(_trace_obs_vector(trace))
         if obs_rows[-1].size != obs_rows[0].size:
             raise ConfigError(
@@ -340,7 +339,7 @@ def train(model_spec, config, arch=None, standardization=None, on_step=None):
     net = ProposalNetwork(arch=arch, params=params, standardization=standardization)
     for step in range(config.steps):
         batch = list(run_batch(model_spec.run, Mode.RECORD, config.master_seed, config.batch_size,
-                               2, step, run_many=getattr(model_spec, "run_many", None)))
+                               2, step))
         loss, grad = _loss_and_grad(net, batch, want_grad=True)
         if not math.isfinite(loss):
             raise NonFiniteLoss(step)

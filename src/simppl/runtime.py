@@ -20,8 +20,8 @@ as each rejection scope exits, inner scopes before the scope that holds them.
 run_model executes a model once and sets its trace's log_weight. run_batch
 yields n executions one at a time, run i seeded by derived_seed(master_seed,
 *key, i); inference, trace generation, architecture discovery and training
-batches all draw their runs from it, unconditioned ones through a model's
-vectorised body a chunk at a time when given one, with the same traces.
+batches all draw their runs from it, and it alone picks the body: model.many,
+a vectorised body a model may carry, runs unconditioned ones a chunk at a time.
 Latent draws consume RNG stream 0 of the execution seed and synthetic
 observations stream 1, so prior and guided executions with the same seed see
 identical latent randomness; stream 1 is created on the first synthetic draw.
@@ -149,24 +149,13 @@ class ExecutionContext:
         return value
 
     def observe_normal_many(self, site_ids, mu, sigma, values=None):
-        """Batched observe of independent Normal(mu[i], sigma[i]) at site_ids[i].
-
-        Same trace, weight and obs_rng state as calling
-        observe(site_ids[i], Normal(mu[i], sigma[i]), values[i]) in order,
-        with one draw for all sites when values is None (prior/record mode). The
-        trace holds the values as given, by reference, or as drawn; returns a new list.
-        """
-        site_ids, mu, sigma = _normal_params([self], (), site_ids, mu, sigma, values)
-        if not site_ids:
-            return []
-        addrs = self.counters.extend_many(self._path, site_ids, "Normal")
-        self._last_address = addrs[-1]
-        if values is None:
-            self._check_unconditioned(addrs[0])
-            values = self.obs_rng.normal(mu, sigma)
-        x = np.asarray(values, dtype=float)
-        self.trace.observe_blocks.append((addrs, normal_log_probs(x, mu, sigma), values))
-        return values.tolist() if values is x else list(values)
+        """Batched observe of independent Normal(mu[i], sigma[i]) at site_ids[i]: the same
+        trace, weight and obs_rng state as observe(site_ids[i], Normal(mu[i], sigma[i]),
+        values[i]) in order, with one draw for all sites when values is None. The trace
+        holds the values as given, by reference, or as drawn; returns a new list."""
+        values, = observe_normal_batch([self], site_ids, [mu], [sigma],
+                                       None if values is None else [values])
+        return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
     def _check_unconditioned(self, addr):
         """An observe at addr without a value is allowed outside guided mode."""
@@ -251,33 +240,18 @@ class FixedProposal:
         return entry(prior) if callable(entry) else entry
 
 
-def observe_normal_batch(ctxs, site_ids, mu, sigma):
-    """observe_normal_many(site_ids, mu[r], sigma[r]) in each unconditioned context
-    ctxs[r], leaving the same traces, counters and obs_rng states, with one parameter
-    check and one log-density pass over the (contexts, sites) arrays."""
-    site_ids, mu, sigma = _normal_params(ctxs, (len(ctxs),), site_ids, mu, sigma)
-    if not mu.size:
-        return
-    addrs, drawn = [], []
-    for ctx, m, s in zip(ctxs, mu, sigma):
-        addrs.append(ctx.counters.extend_many(ctx._path, site_ids, "Normal"))
-        ctx._check_unconditioned(addrs[-1][0])
-        drawn.append(ctx.obs_rng.normal(m, s))
-    log_liks = normal_log_probs(np.array(drawn), mu, sigma)
-    for ctx, a, values, ll in zip(ctxs, addrs, drawn, log_liks):
-        ctx.trace.observe_blocks.append((a, ll, values))
-
-
-def _normal_params(ctxs, lead, site_ids, mu, sigma, values=None):
-    """(site ids, mu, sigma) checked, mu and sigma as float arrays of shape lead + (sites,)
-    whose row r is ctxs[r]'s; an error names the first site at fault, or the last if none is."""
+def observe_normal_batch(ctxs, site_ids, mu, sigma, values=None):
+    """observe_normal_many(site_ids, mu[r], sigma[r], values[r]) in each context ctxs[r], all
+    values drawn when values is None; its one writer. One parameter check names the first
+    site at fault (or the last if none is) before any context changes, and one log-density
+    pass covers the (contexts, sites) arrays. Returns each context's values as held."""
     site_ids = tuple(site_ids)
     n = len(site_ids)
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    sizes = [a.shape[-1] if a.ndim and a.shape[:-1] == lead else 0 for a in (mu, sigma)]
+    sizes = [a.shape[-1] if a.ndim and a.shape[:-1] == (len(ctxs),) else 0 for a in (mu, sigma)]
     if values is not None:
-        sizes.append(len(values))
+        sizes.extend(map(len, values))
     if any(k != n for k in sizes):
         at = ctxs[0]._site_name(site_ids[min(min(sizes), n - 1)]) if n else "no sites"
         raise DimensionMismatch(
@@ -291,7 +265,20 @@ def _normal_params(ctxs, lead, site_ids, mu, sigma, values=None):
             f"observe at {ctxs[r]._site_name(site_ids[i])}: need finite mu and positive "
             f"finite sigma, got mu={float(mu.flat[k])!r}, sigma={float(sigma.flat[k])!r}"
         )
-    return site_ids, mu, sigma
+    if not n:
+        return [[] for _ in ctxs]
+    addrs, drawn = [], []
+    for r, ctx in enumerate(ctxs):
+        addrs.append(ctx.counters.extend_many(ctx._path, site_ids, "Normal"))
+        ctx._last_address = addrs[-1][-1]
+        if values is None:
+            ctx._check_unconditioned(addrs[-1][0])
+            drawn.append(ctx.obs_rng.normal(mu[r], sigma[r]))
+    values = drawn if values is None else values
+    log_liks = normal_log_probs(np.array(values, dtype=float), mu, sigma)
+    for ctx, a, v, ll in zip(ctxs, addrs, values, log_liks):
+        ctx.trace.observe_blocks.append((a, ll, v))
+    return values
 
 
 def _stream(ss, k):
@@ -304,33 +291,33 @@ def derived_seed(master_seed, *key):
     return np.random.SeedSequence(entropy=master_seed, spawn_key=key)
 
 
-_CHUNK = 64  # runs per run_many call: small arrays, and the first trace waits for one chunk
+_CHUNK = 64  # runs per model.many call: small arrays, and the first trace waits for one chunk
 
 
-def run_batch(model, mode, master_seed, n, *key, observation=None, proposal_source=None,
-              run_many=None):
+def run_batch(model, mode, master_seed, n, *key, observation=None, proposal_source=None):
     """Yield n executions in order, one at a time: run i is seeded by
     derived_seed(master_seed, *key, i) and carries trace_id i.
 
-    run_many, a model's vectorised body over a list of contexts, runs unconditioned prior and
-    record batches _CHUNK runs at a time, with the scalar body's traces. A chunk it fails runs
-    again through model: the run at fault raises its error, or else run_many's error follows."""
+    model.many, a vectorised body over a list of contexts that a model may carry, runs prior
+    and record batches without an observation _CHUNK runs at a time, with the scalar body's
+    traces. A chunk it fails runs again through model: the run at fault raises its error,
+    or else the vectorised body's error follows."""
     seeds = (derived_seed(master_seed, *key, i) for i in range(n))
-    if run_many is None or observation is not None or Mode(mode) is Mode.GUIDED:
+    if hasattr(model, "many") and observation is None and Mode(mode) is not Mode.GUIDED:
+        traces = _run_chunks(model, mode, seeds)
+    else:
         traces = (run_model(model, mode, s, observation=observation,
                             proposal_source=proposal_source) for s in seeds)
-    else:
-        traces = _run_chunks(model, run_many, mode, seeds)
     for i, trace in enumerate(traces):
         trace.trace_id = i
         yield trace
 
 
-def _run_chunks(model, run_many, mode, seeds):
+def _run_chunks(model, mode, seeds):
     while chunk := list(itertools.islice(seeds, _CHUNK)):
         ctxs = [ExecutionContext(mode, s) for s in chunk]
         try:
-            run_many(ctxs)
+            model.many(ctxs)
             traces = [_finish(ctx) for ctx in ctxs]
         except Exception:
             for s in chunk:  # the scalar body raises the error of the run at fault, if any

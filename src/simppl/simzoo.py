@@ -7,7 +7,9 @@ MODEL_NAMES all read:
   gaussian_unknown_mean   conjugate sanity check with a closed-form posterior
   rejection_demo          uniform disc sampling via a rejection scope
   tau_decay_toy           decay-channel + momentum inference from a small
-                          segmented-calorimeter image
+                          segmented-calorimeter image; its spec.run carries the
+                          vectorised body as spec.run.many, which only
+                          runtime.run_batch picks
 
 Each oracle is an independent route to the posterior (analytic form, dense
 grid quadrature, or channel enumeration plus 3-D quadrature) used to validate
@@ -98,9 +100,10 @@ class TauToyConfig:
     spot_sigma: float = 0.9
 
     def __post_init__(self):
-        self.channel_prior = tuple(float(p) for p in self.channel_prior)
-        self.grid = tuple(int(g) for g in self.grid)
-        self.depth_profiles = tuple(tuple(float(f) for f in row) for row in self.depth_profiles)
+        for name in ("n_channels", "grid", "channel_prior", "depth_profiles", "momentum_scale",
+                     "noise_sigma", "theta_max", "lever_arm", "spot_sigma"):
+            kind = int if name in ("n_channels", "grid") else float
+            setattr(self, name, _numbers(name, getattr(self, name), kind))
         self.channel_kinds = tuple(self.channel_kinds)
         if self.n_channels < 1:
             raise ConfigInvalid("n_channels must be >= 1")
@@ -154,6 +157,17 @@ class TauToyConfig:
             return cls(**obj)
         except (TypeError, ValueError, OverflowError) as exc:  # a field of the wrong type
             raise ConfigInvalid(f"bad tau_decay_toy config: {exc}") from exc
+
+
+def _numbers(name, value, kind, cell=False):
+    """A numeric config field with each (nested) list made a tuple of kind; TypeError naming
+    the first boolean, or in an int field the first float, which int() would truncate."""
+    if isinstance(value, (tuple, list)):
+        return tuple(_numbers(f"{name}[{i}]", v, kind, True) for i, v in enumerate(value))
+    if type(value) is bool or kind is int and isinstance(value, float):
+        raise TypeError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                        f"got {value!r}")
+    return kind(value) if cell else value
 
 
 DEFAULT_TAU_CONFIG = TauToyConfig()
@@ -236,7 +250,6 @@ class ModelSpec:
     obs_to_vector: object
     observation_from_values: object
     config: object = None
-    run_many: object = None  # vectorised body over a list of unconditioned contexts, if any
 
 
 def _obs_converter(name, key, n_cells=None):
@@ -286,10 +299,10 @@ def _tau_spec(name, body, config):
             "cells": [float(v) for v in values],
         }
 
-    return ModelSpec(name, lambda ctx: body(ctx, cfg),
-                     _obs_converter(name, "cells", math.prod(cfg.grid)),
-                     observation_from_values, config=cfg,
-                     run_many=lambda ctxs: tau_decay_toy_many(ctxs, cfg))
+    run = functools.partial(body, cfg=cfg)
+    run.many = functools.partial(tau_decay_toy_many, cfg=cfg)  # the body run_batch finds
+    return ModelSpec(name, run, _obs_converter(name, "cells", math.prod(cfg.grid)),
+                     observation_from_values, config=cfg)
 
 
 def _model_row(name):

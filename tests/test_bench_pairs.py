@@ -1,6 +1,8 @@
-"""tools/bench_pairs.py's summary of one metric's pairs, on canned numbers."""
+"""tools/bench_pairs.py's summary of one metric's pairs, on canned numbers, and its
+argument check, with no benchmark run."""
 
 import os
+import subprocess
 import sys
 
 import pytest
@@ -8,13 +10,17 @@ import pytest
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 
 
-def _summarize(*args):
+def _bench_pairs():
     sys.path.insert(0, TOOLS)
     try:
         import bench_pairs
     finally:
         sys.path.remove(TOOLS)
-    return bench_pairs.summarize(*args)
+    return bench_pairs
+
+
+def _summarize(*args):
+    return _bench_pairs().summarize(*args)
 
 
 def test_a_higher_is_better_metric_counts_the_pairs_the_change_raised():
@@ -38,3 +44,20 @@ def test_a_lower_is_better_metric_counts_the_pairs_the_change_lowered():
     assert out["change"]["median"] == 1.75
     assert out["parent"]["q1"] == 1.75 and out["parent"]["q3"] == 3.25
     assert not out["beyond_parent_iqr"]  # 0.75 is within the parent's IQR of 1.5
+
+
+@pytest.mark.parametrize("pairs", ["1", "0"])
+def test_fewer_than_two_pairs_is_a_usage_error_before_any_run(tmp_path, capsys, monkeypatch,
+                                                                pairs):
+    # at the parent every run went ahead and statistics.quantiles then failed on one value
+    def no_run(*args, **kwargs):
+        raise AssertionError("a subprocess was started")
+
+    monkeypatch.setattr(subprocess, "run", no_run)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        _bench_pairs().main(["--parent", ".", "--change", ".", "--pairs", pairs,
+                             "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"--pairs must be >= 2, got {pairs}" in capsys.readouterr().err
+    assert not out.exists()

@@ -412,9 +412,17 @@ def test_infer_usage_errors_that_stay_exit_2(tmp_path, capsys, model, values, me
     ({"grid": ["a", 3, 3]}, "invalid literal for int() with base 10: 'a'"),
     ({"channel_prior": ["x", 0.4]}, "could not convert string to float: 'x'"),
     ({"depth_profiles": [[0.8, 0.2], ["y", 0.7]]}, "could not convert string to float: 'y'"),
-], ids=["grid", "channel_prior", "depth_profiles"])
+    ({"grid": [2, 3, 3.5]}, "grid[2] must be an integer, got 3.5"),
+    ({"n_channels": 2.0}, "n_channels must be an integer, got 2.0"),
+    ({"noise_sigma": True}, "noise_sigma must be a number, got True"),
+    ({"lever_arm": False}, "lever_arm must be a number, got False"),
+    ({"depth_profiles": [[0.8, 0.2], [False, 1]]},
+     "depth_profiles[1][0] must be a number, got False"),
+], ids=["grid", "channel_prior", "depth_profiles", "grid fraction", "n_channels float",
+        "noise_sigma boolean", "lever_arm boolean", "depth_profiles boolean"])
 def test_infer_rejects_a_tau_config_field_of_the_wrong_type(tmp_path, capsys, patch, message):
-    # an uncaught ValueError with a traceback and exit 1 at the parent
+    # an uncaught ValueError with a traceback and exit 1 at the parent; a boolean, or a
+    # float count, was taken as a number and infer exited 0
     values, _ = make_observation("tau_decay_toy", 3, SMALL_TAU)
     config = {**SMALL_TAU.to_dict(), **patch}
     assert _infer(tmp_path, "tau_decay_toy", {"cells": values["cells"]}, config) == 2
@@ -701,8 +709,9 @@ def test_generate_streams_each_trace_to_the_file(tmp_path, capsys, monkeypatch, 
 def test_generate_failing_inside_a_vectorised_chunk_writes_the_traces_before_the_failing_run(
         tmp_path, capsys, monkeypatch):
     spec = simzoo.get_model("tau_decay_toy")
-    assert spec.run_many is not None
-    want = list(run_batch(spec.run, Mode.PRIOR, 3, 71))
+    scalar = dataclasses.replace(spec, run=lambda ctx: spec.run(ctx))  # carries no run.many
+    assert hasattr(spec.run, "many")
+    want = list(run_batch(scalar.run, Mode.PRIOR, 3, 71))
     bad_pmag = want[-1].entries[1].value  # run 70's momentum, in the second chunk
     real_deposit = simzoo.deposit_image
 
@@ -713,7 +722,7 @@ def test_generate_failing_inside_a_vectorised_chunk_writes_the_traces_before_the
 
     monkeypatch.setattr(simzoo, "deposit_image", deposit)
     results = []
-    for model_spec in (spec, dataclasses.replace(spec, run_many=None)):  # then scalar only
+    for model_spec in (spec, scalar):
         monkeypatch.setattr(simzoo, "get_model", lambda name, config=None: model_spec)
         out = tmp_path / "t.jsonl"
         rc = cli.main(["generate", "--model", "tau_decay_toy", "--n", "200", "--seed", "3",

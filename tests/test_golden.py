@@ -228,7 +228,8 @@ def test_prior_and_record_traces_match_golden(model, mode):
 @pytest.mark.parametrize("mode", [Mode.PRIOR, Mode.RECORD])
 def test_vectorised_tau_traces_match_the_scalar_golden(mode):
     spec = simzoo.get_model("tau_decay_toy")
-    traces = list(run_batch(spec.run, mode, 17, RUNS["tau_decay_toy"], run_many=spec.run_many))
+    assert hasattr(spec.run, "many")  # run_batch takes the vectorised body
+    traces = list(run_batch(spec.run, mode, 17, RUNS["tau_decay_toy"]))
     for trace in traces:
         trace.trace_id = 0  # as run_model leaves it
     assert _traces_sha(traces) == GOLDEN[f"tau_decay_toy-{mode.value}"]

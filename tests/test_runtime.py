@@ -437,15 +437,19 @@ SITES = ["a", "b", "c", "d", "e"]
 finite = st.floats(-1e3, 1e3)
 
 
-def _observe_block(batched, pre, sites, mu, sigma, values):
-    """Body observing `pre` with scalar observes, then `sites` either in one
-    batched statement or in the equivalent loop of scalar observes."""
+def _observe_block(how, pre, sites, mu, sigma, values):
+    """Body observing `pre` with scalar observes, then `sites` in one batched
+    statement ("many"), in a one-context observe_normal_batch ("batch") or in
+    the equivalent loop of scalar observes ("loop")."""
 
     def body(ctx):
         for s in pre:
             ctx.observe(s, Normal(0.5, 2.0), None if values is None else 1.25)
-        if batched:
+        if how == "many":
             ctx.observe_normal_many(sites, np.array(mu), np.array(sigma), values)
+        elif how == "batch":
+            runtime.observe_normal_batch([ctx], sites, np.array([mu]), np.array([sigma]),
+                                         None if values is None else [values])
         else:
             for i, s in enumerate(sites):
                 ctx.observe(s, Normal(mu[i], sigma[i]), None if values is None else values[i])
@@ -476,9 +480,9 @@ def test_observe_normal_many_matches_scalar_loop(mode, seed, sites, pre, retries
     if mode == "guided":
         values = data.draw(st.lists(finite | st.integers(-5, 5), min_size=n, max_size=n))
 
-    def run(batched):
+    def run(how):
         ctx = ExecutionContext(mode, seed, observation={} if mode == "guided" else None)
-        body = _observe_block(batched, pre, sites, mu, sigma, values)
+        body = _observe_block(how, pre, sites, mu, sigma, values)
         if retries is None:
             body(ctx)
         else:
@@ -489,18 +493,27 @@ def test_observe_normal_many_matches_scalar_loop(mode, seed, sites, pre, retries
                 body(ctx)
         return ctx
 
-    want, got = run(False), run(True)
+    want, got, one = run("loop"), run("many"), run("batch")
     rows = [[(o.address.rendered, _bits(o.log_likelihood), type(o.value), _bits(o.value))
              for o in ctx.trace.observes] for ctx in (want, got)]
     assert rows[1] == rows[0]
     assert _bits(trace_log_weight(got.trace)) == _bits(trace_log_weight(want.trace))
     assert got.counters.snapshot() == want.counters.snapshot()
+    assert got._last_address == want._last_address
+    # observe_normal_many is a one-context observe_normal_batch: same blocks, counters,
+    # last address and observation stream
+    assert _exact(one.trace)[1] == _exact(got.trace)[1]
+    assert one.counters.snapshot() == got.counters.snapshot()
+    assert one._last_address == got._last_address
+    assert one.obs_rng.bit_generator.state == got.obs_rng.bit_generator.state
     assert got.obs_rng.random() == want.obs_rng.random()
     if values is not None:
-        # guided entries hold the observation's own objects, ints as well as floats
-        batch = got.trace.observes[-n:] if n else []
-        for o, v in zip(batch, values):
-            assert o.value is v
+        # guided blocks hold the observation's own list, ints as well as floats
+        for ctx in (got, one):
+            assert not n or ctx.trace.observe_blocks[-1][2] is values
+            batch = ctx.trace.observes[-n:] if n else []
+            for o, v in zip(batch, values):
+                assert o.value is v
 
 
 BAD_PARAMS = {
@@ -692,6 +705,18 @@ ALT_TAU = simzoo.TauToyConfig(
 CHUNK = runtime._CHUNK
 
 
+def _scalar(model):
+    """model's scalar body alone: a plain callable carrying no vectorised body."""
+    return lambda ctx: model(ctx)
+
+
+def _with_many(model, many):
+    """model carrying many as its vectorised body."""
+    run = _scalar(model)
+    run.many = many
+    return run
+
+
 def _exact(trace):
     """Every field of a trace, floats and arrays as their bytes."""
     entries = [(e.address, e.params, type(e.value), repr(e.value), repr(e.log_p), repr(e.log_q),
@@ -713,9 +738,8 @@ def _exact(trace):
 )
 def test_vectorised_tau_batches_equal_the_scalar_runs(master_seed, key, n, mode, config):
     spec = simzoo.get_model("tau_decay_toy", config)
-    want = [_exact(t) for t in run_batch(spec.run, mode, master_seed, n, *key)]
-    got = [_exact(t) for t in run_batch(spec.run, mode, master_seed, n, *key,
-                                        run_many=spec.run_many)]
+    want = [_exact(t) for t in run_batch(_scalar(spec.run), mode, master_seed, n, *key)]
+    got = [_exact(t) for t in run_batch(spec.run, mode, master_seed, n, *key)]
     assert got == want
 
 
@@ -754,8 +778,8 @@ def _drain(traces):
 def test_a_failing_vectorised_body_raises_the_scalar_error_after_the_same_traces():
     # seed 12: the first run over the cap is run 83, in the second chunk
     want_lines, want = _drain(run_batch(_capped_uniform, Mode.PRIOR, 12, 3 * CHUNK))
-    got_lines, got = _drain(run_batch(_capped_uniform, Mode.PRIOR, 12, 3 * CHUNK,
-                                      run_many=_capped_uniform_many))
+    got_lines, got = _drain(run_batch(_with_many(_capped_uniform, _capped_uniform_many),
+                                      Mode.PRIOR, 12, 3 * CHUNK))
     assert len(want_lines) == 83
     assert got_lines == want_lines
     assert type(got) is type(want) is ModelExecutionError
@@ -768,7 +792,8 @@ def test_a_vectorised_body_failing_where_the_scalar_one_succeeds_raises_its_own_
         ctx.predict("x", ctx.sample("x", Uniform(0.0, 1.0)))
 
     want_lines, _ = _drain(run_batch(model, Mode.RECORD, 4, 2 * CHUNK))
-    got_lines, got = _drain(run_batch(model, Mode.RECORD, 4, 2 * CHUNK, run_many=_failing_many))
+    got_lines, got = _drain(run_batch(_with_many(model, _failing_many), Mode.RECORD, 4,
+                                      2 * CHUNK))
     assert got_lines == want_lines[:CHUNK]
     assert type(got) is RuntimeError and str(got) == "vectorised body failed"
 
@@ -785,7 +810,7 @@ def test_a_vectorised_body_leaving_a_scope_open_raises_scope_error():
 
     assert len(list(run_batch(model, Mode.PRIOR, 1, 3))) == 3
     with pytest.raises(ScopeError, match=r"model exited with open scope\(s\): s"):
-        list(run_batch(model, Mode.PRIOR, 1, 3, run_many=many))
+        list(run_batch(_with_many(model, many), Mode.PRIOR, 1, 3))
 
 
 def test_the_first_trace_of_a_long_batch_runs_one_chunk():
@@ -794,9 +819,9 @@ def test_the_first_trace_of_a_long_batch_runs_one_chunk():
 
     def counted(ctxs):
         sizes.append(len(ctxs))
-        spec.run_many(ctxs)
+        spec.run.many(ctxs)
 
-    first = next(run_batch(spec.run, Mode.PRIOR, 1, 10**6, run_many=counted))
+    first = next(run_batch(_with_many(spec.run, counted), Mode.PRIOR, 1, 10**6))
     assert sizes == [CHUNK]
     assert _exact(first) == _exact(run_model(spec.run, Mode.PRIOR, derived_seed(1, 0)))
 
@@ -805,7 +830,35 @@ def test_guided_and_conditioned_batches_keep_the_scalar_body():
     spec = simzoo.get_model("tau_decay_toy")
     observation, _ = simzoo.make_observation("tau_decay_toy", 2)
     for mode in Mode:
-        traces = run_batch(spec.run, mode, 3, 2, observation=observation,
-                           run_many=_failing_many)
+        traces = run_batch(_with_many(spec.run, _failing_many), mode, 3, 2,
+                           observation=observation)
         assert [_exact(t) for t in traces] == [
-            _exact(t) for t in run_batch(spec.run, mode, 3, 2, observation=observation)]
+            _exact(t) for t in run_batch(_scalar(spec.run), mode, 3, 2, observation=observation)]
+
+
+def test_a_model_without_a_vectorised_body_never_reaches_a_chunk(monkeypatch):
+    spec = simzoo.get_model("tau_decay_toy")
+    want = [_exact(t) for t in run_batch(spec.run, Mode.RECORD, 5, CHUNK + 1)]
+
+    def no_chunks(*args):
+        raise AssertionError("a model without model.many reached _run_chunks")
+
+    monkeypatch.setattr(runtime, "_run_chunks", no_chunks)
+    for mode in (Mode.PRIOR, Mode.RECORD):
+        assert len(list(run_batch(REJECTION, mode, 5, CHUNK + 1))) == CHUNK + 1
+    assert [_exact(t) for t in run_batch(_scalar(spec.run), Mode.RECORD, 5, CHUNK + 1)] == want
+
+
+def test_sis_infer_on_the_tau_spec_keeps_the_scalar_body(monkeypatch):
+    spec = simzoo.get_model("tau_decay_toy")
+    observation, _ = simzoo.make_observation("tau_decay_toy", 2)
+    source = net.TrainedProposal(net.load_net(TAU_NET), spec.obs_to_vector(observation))
+    want = sis.sis_infer(_scalar(spec.run), observation, 8, source, master_seed=6)
+
+    def no_chunks(*args):
+        raise AssertionError("a guided batch reached _run_chunks")
+
+    monkeypatch.setattr(runtime, "_run_chunks", no_chunks)
+    got = sis.sis_infer(spec.run, observation, 8, source, master_seed=6)
+    assert [_exact(t) for t in got.traces] == [_exact(t) for t in want.traces]
+    assert got.log_weights.tobytes() == want.log_weights.tobytes()

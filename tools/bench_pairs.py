@@ -77,6 +77,8 @@ def main(argv=None):
     parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 2:  # each side's quartiles need at least two runs
+        parser.error(f"--pairs must be >= 2, got {args.pairs}")
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
