@@ -18,21 +18,21 @@ TraceEntry. Every mode appends (scope_id, retries) to trace.scope_executions
 as each rejection scope exits, inner scopes before the scope that holds them.
 
 run_model executes a model once and sets its trace's log_weight. run_batch
-yields n executions one at a time, run i seeded by derived_seed(master_seed,
-*key, i); inference, trace generation, architecture discovery and training
-batches all draw their runs from it, and it alone picks the body: model.many,
-a vectorised body a model may carry, runs unconditioned ones a chunk at a time.
-Latent draws consume RNG stream 0 of the execution seed and synthetic
-observations stream 1, so prior and guided executions with the same seed see
-identical latent randomness; stream 1 is created on the first synthetic draw.
-Reusing one SeedSequence repeats the run: its spawn counter is not advanced.
+yields n executions one at a time for inference, trace generation, architecture
+discovery and training, and alone picks the body: model.many, a vectorised body
+a model may carry, runs unconditioned ones a chunk at a time. Latent draws use
+RNG stream 0 of the seed and synthetic observations stream 1 (built on the first
+such draw), its spawn(2) children without advancing its spawn counter. Run i of
+a batch has the streams of derived_seed(master_seed, *key, i), master_seed a
+non-negative int or a sequence of them, made a chunk of runs at a time without
+that SeedSequence; prior and guided runs on one seed share latent randomness.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import itertools
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -78,9 +78,10 @@ class ExecutionContext:
         self.mode = Mode(mode)
         if self.mode is Mode.GUIDED and observation is None:
             raise ConfigError("guided mode requires an observation")
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        self._seed = ss
-        self.rng = np.random.default_rng(_stream(ss, 0))
+        if not isinstance(seed, (np.random.SeedSequence, _RunSeed)):
+            seed = np.random.SeedSequence(seed)
+        self._seed = seed
+        self.rng = np.random.default_rng(_stream(seed, 0))
         self.observation = observation
         self.proposal_source = proposal_source
         self.counters = AddressTable()
@@ -153,7 +154,8 @@ class ExecutionContext:
         trace, weight and obs_rng state as observe(site_ids[i], Normal(mu[i], sigma[i]),
         values[i]) in order, with one draw for all sites when values is None. The trace
         holds the values as given, by reference, or as drawn; returns a new list."""
-        values, = observe_normal_batch([self], site_ids, [mu], [sigma],
+        values, = observe_normal_batch([self], site_ids, np.asarray(mu, dtype=float)[None],
+                                       np.asarray(sigma, dtype=float)[None],
                                        None if values is None else [values])
         return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
@@ -282,7 +284,9 @@ def observe_normal_batch(ctxs, site_ids, mu, sigma, values=None):
 
 
 def _stream(ss, k):
-    """ss.spawn(2)[k] of a fresh ss, without advancing ss's spawn counter."""
+    """ss.spawn(2)[k] of a fresh ss, without advancing ss's spawn counter; a _RunSeed's words."""
+    if isinstance(ss, _RunSeed):
+        return _RunSeed(ss.words, k)
     return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (k,), pool_size=ss.pool_size)
 
 
@@ -291,30 +295,82 @@ def derived_seed(master_seed, *key):
     return np.random.SeedSequence(entropy=master_seed, spawn_key=key)
 
 
+class _RunSeed(np.random.bit_generator.ISeedSequence):
+    """Seed of run i of a batch: words[k] is the PCG64 seed of its stream k, equal to
+    _stream(derived_seed(master_seed, *key, i), k).generate_state(4, np.uint64)."""
+
+    def __init__(self, words, k=0):
+        self.words, self.k = words, k
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words[self.k]  # PCG64 asks for its 4 uint64 words
+
+
+def _mix_in(pool, h, word):
+    """numpy SeedSequence's mix of a word (int or uint64 array) into its 4-word pool: (pool, h)."""
+    for d in range(4):  # hashmix: xor h in, then update it
+        v = (word ^ h) * (h := h * _MULT_A & _M32) & _M32
+        pool[d] = (r := (0xCA01F9DD * pool[d] - 0x4973F715 * (v ^ v >> 16)) & _M32) ^ r >> 16
+    return pool, h
+
+
+def _seed_words(master_seed, key):
+    """Check master_seed and mix its words and key's once; return words(start, stop), whose
+    [r, k] is the PCG64 seed of stream k of run start + r (below 2**64) of the batch at key."""
+    if master_seed is None:
+        raise ConfigError("master_seed must be a non-negative int or a sequence of them, got None")
+    pool0 = [int(w) for w in derived_seed(master_seed, *key).pool]  # checks master_seed
+
+    def nwords(x):  # how many 32-bit words SeedSequence makes of x
+        return (sum(map(nwords, x)) if isinstance(x, (list, tuple, range, np.ndarray))
+                else max(operator.index(x).bit_length() + 31, 32) // 32)
+
+    h0 = _INIT_A * pow(_MULT_A, 4 * (max(4, nwords(master_seed)) + nwords(key)), 2**32) & _M32
+
+    def words(start, stop):
+        if start < 1 << 32 < stop:  # indices from 2**32 on are two words
+            return np.concatenate([words(start, 1 << 32), words(1 << 32, stop)])
+        i = np.arange(start, stop, dtype=np.uint64)
+        pool, h = _mix_in(list(pool0), h0, i & _M32)
+        if start >= 1 << 32:
+            pool, h = _mix_in(pool, h, i >> 32)
+        pool, hb = _mix_in(pool, h, np.array([[0], [1]], np.uint64))[0], _INIT_B  # streams
+        out = np.zeros((stop - start, 2, 4), np.uint64)
+        for j in range(8):  # generate_state: 8 words cycling over the pool, low word first
+            v = (pool[j % 4] ^ hb) * (hb := hb * _MULT_B & _M32) & _M32
+            out[..., j // 2] |= ((v ^ v >> 16) << 32 * (j % 2)).T
+        return out
+
+    return words
+
+
 _CHUNK = 64  # runs per model.many call: small arrays, and the first trace waits for one chunk
+_M32, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 
 
 def run_batch(model, mode, master_seed, n, *key, observation=None, proposal_source=None):
-    """Yield n executions in order, one at a time: run i is seeded by
-    derived_seed(master_seed, *key, i) and carries trace_id i.
+    """Yield n executions in order, one at a time: run i carries trace_id i and the streams of
+    derived_seed(master_seed, *key, i), computed _CHUNK runs at a time without building it;
+    master_seed, a non-negative int or a sequence of them, is checked at the first next().
 
     model.many, a vectorised body over a list of contexts that a model may carry, runs prior
     and record batches without an observation _CHUNK runs at a time, with the scalar body's
     traces. A chunk it fails runs again through model: the run at fault raises its error,
     or else the vectorised body's error follows."""
-    seeds = (derived_seed(master_seed, *key, i) for i in range(n))
+    words = _seed_words(master_seed, key)  # run_batch is a generator: at the first next()
+    chunks = ([_RunSeed(w) for w in words(a, min(n, a + _CHUNK))] for a in range(0, n, _CHUNK))
     if hasattr(model, "many") and observation is None and Mode(mode) is not Mode.GUIDED:
-        traces = _run_chunks(model, mode, seeds)
+        traces = _run_chunks(model, mode, chunks)
     else:
         traces = (run_model(model, mode, s, observation=observation,
-                            proposal_source=proposal_source) for s in seeds)
+                            proposal_source=proposal_source) for chunk in chunks for s in chunk)
     for i, trace in enumerate(traces):
         trace.trace_id = i
         yield trace
 
 
-def _run_chunks(model, mode, seeds):
-    while chunk := list(itertools.islice(seeds, _CHUNK)):
+def _run_chunks(model, mode, chunks):
+    for chunk in chunks:
         ctxs = [ExecutionContext(mode, s) for s in chunk]
         try:
             model.many(ctxs)

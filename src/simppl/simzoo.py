@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 
@@ -161,10 +162,11 @@ class TauToyConfig:
 
 def _numbers(name, value, kind, cell=False):
     """A numeric config field with each (nested) list made a tuple of kind; TypeError naming
-    the first boolean, or in an int field the first float, which int() would truncate."""
+    the first non-number (a string, a boolean) or, in an int field, float int() would cut."""
     if isinstance(value, (tuple, list)):
         return tuple(_numbers(f"{name}[{i}]", v, kind, True) for i, v in enumerate(value))
-    if type(value) is bool or kind is int and isinstance(value, float):
+    if type(value) is bool or not isinstance(value, numbers.Real) or (
+            kind is int and not isinstance(value, numbers.Integral)):
         raise TypeError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
                         f"got {value!r}")
     return kind(value) if cell else value

@@ -1,8 +1,9 @@
 """Sequential importance sampling over model executions.
 
 Particles are independent guided executions from runtime.run_batch with an
-empty key: particle i runs on derived_seed(master_seed, i), so results depend
-only on (master_seed, n_particles).
+empty key: particle i runs on the streams of derived_seed(master_seed, i), made
+a chunk at a time without that SeedSequence, so results depend only on
+(master_seed, n_particles); master_seed is a non-negative int or sequence of them.
 """
 
 from __future__ import annotations

@@ -409,20 +409,25 @@ def test_infer_usage_errors_that_stay_exit_2(tmp_path, capsys, model, values, me
 
 
 @pytest.mark.parametrize("patch, message", [
-    ({"grid": ["a", 3, 3]}, "invalid literal for int() with base 10: 'a'"),
-    ({"channel_prior": ["x", 0.4]}, "could not convert string to float: 'x'"),
-    ({"depth_profiles": [[0.8, 0.2], ["y", 0.7]]}, "could not convert string to float: 'y'"),
+    ({"grid": ["a", 3, 3]}, "grid[0] must be an integer, got 'a'"),
+    ({"channel_prior": ["x", 0.4]}, "channel_prior[0] must be a number, got 'x'"),
+    ({"depth_profiles": [[0.8, 0.2], ["y", 0.7]]},
+     "depth_profiles[1][0] must be a number, got 'y'"),
+    ({"grid": ["2", "3", "3"]}, "grid[0] must be an integer, got '2'"),
+    ({"noise_sigma": "0.2"}, "noise_sigma must be a number, got '0.2'"),
     ({"grid": [2, 3, 3.5]}, "grid[2] must be an integer, got 3.5"),
     ({"n_channels": 2.0}, "n_channels must be an integer, got 2.0"),
     ({"noise_sigma": True}, "noise_sigma must be a number, got True"),
     ({"lever_arm": False}, "lever_arm must be a number, got False"),
     ({"depth_profiles": [[0.8, 0.2], [False, 1]]},
      "depth_profiles[1][0] must be a number, got False"),
-], ids=["grid", "channel_prior", "depth_profiles", "grid fraction", "n_channels float",
-        "noise_sigma boolean", "lever_arm boolean", "depth_profiles boolean"])
+], ids=["grid", "channel_prior", "depth_profiles", "numeric string grid", "noise_sigma string",
+        "grid fraction", "n_channels float", "noise_sigma boolean", "lever_arm boolean",
+        "depth_profiles boolean"])
 def test_infer_rejects_a_tau_config_field_of_the_wrong_type(tmp_path, capsys, patch, message):
-    # an uncaught ValueError with a traceback and exit 1 at the parent; a boolean, or a
-    # float count, was taken as a number and infer exited 0
+    # unchecked, a string cell raised an uncaught ValueError (exit 1), a boolean, a float
+    # count or a numeric string cell passed as a number (exit 0), and a string in a scalar
+    # field failed in a comparison whose message named no field
     values, _ = make_observation("tau_decay_toy", 3, SMALL_TAU)
     config = {**SMALL_TAU.to_dict(), **patch}
     assert _infer(tmp_path, "tau_decay_toy", {"cells": values["cells"]}, config) == 2

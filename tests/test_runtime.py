@@ -39,6 +39,7 @@ TAU_NET = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 # frozen so the scope tests exercise known retry patterns
 SEED_ONE_SHOT = 0
 SEED_FOUR_ITERATIONS = 33
+CHUNK = runtime._CHUNK
 
 
 def latents(trace):
@@ -114,6 +115,31 @@ def test_run_batch_runs_lazily():
     assert calls == []
     next(batch)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("master_seed, error, message", [
+    # None would give every run fresh OS entropy, so two identical batches would differ
+    (None, ConfigError, "master_seed must be a non-negative int or a sequence of them"),
+    (-1, ValueError, "expected non-negative integer"),
+    (1.5, TypeError, "SeedSequence expects int or sequence of ints"),
+    ([3, -2], ValueError, "expected non-negative integer"),
+])
+def test_run_batch_checks_the_master_seed_at_the_first_next(master_seed, error, message):
+    batch = run_batch(GAUSSIAN, Mode.PRIOR, master_seed, 3)
+    with pytest.raises(error, match=message):
+        next(batch)
+
+
+def test_run_batch_streams_are_the_children_of_derived_seed_across_chunks():
+    states = []
+
+    def model(ctx):
+        states.append([ctx.rng.bit_generator.state, ctx.obs_rng.bit_generator.state])
+
+    assert len(list(run_batch(model, Mode.PRIOR, 2**40 + 1, 2 * CHUNK + 1, 3))) == 2 * CHUNK + 1
+    assert states == [[np.random.default_rng(s).bit_generator.state
+                       for s in derived_seed(2**40 + 1, 3, i).spawn(2)]
+                      for i in range(2 * CHUNK + 1)]
 
 
 def test_one_seed_function_under_every_name():
@@ -588,6 +614,50 @@ def test_streams_are_the_children_spawn_makes(seed):
     assert ctx.obs_rng.random(4).tolist() == obs.random(4).tolist()
 
 
+_WORD = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    master_seed=st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64) | st.integers(2**64, 2**128)
+    | st.integers(2**128, 2**200) | st.lists(_WORD | st.integers(2**64, 2**100), max_size=6),
+    key=st.lists(_WORD, max_size=3),
+    start=st.sampled_from([0, CHUNK, 3 * CHUNK, 2**32]).flatmap(
+        lambda border: st.integers(max(0, border - CHUNK - 2), border + 2)),
+    length=st.integers(1, CHUNK + 3),
+)
+def test_seed_words_are_the_words_seed_sequence_generates(master_seed, key, start, length):
+    # the guard against a change in numpy's SeedSequence: run_batch seeds every run from
+    # these words and never builds the SeedSequences they stand for
+    words = runtime._seed_words(master_seed, tuple(key))(start, start + length)
+    assert words.shape == (length, 2, 4)
+    for r, i in enumerate(range(start, start + length)):
+        for k in (0, 1):
+            want = np.random.SeedSequence(master_seed, spawn_key=(*key, i, k))
+            assert words[r, k].tolist() == want.generate_state(4, np.uint64).tolist()
+            got = np.random.default_rng(runtime._stream(runtime._RunSeed(words[r]), k))
+            stream = runtime._stream(derived_seed(master_seed, *key, i), k)
+            assert got.bit_generator.state == np.random.default_rng(stream).bit_generator.state
+
+
+def test_a_guided_batch_builds_no_observation_stream(monkeypatch):
+    built = []
+    stream = runtime._stream
+
+    def counted(seed, k):
+        built.append(k)
+        return stream(seed, k)
+
+    spec = simzoo.get_model("tau_decay_toy")
+    obs, _ = simzoo.make_observation("tau_decay_toy", 3)
+    monkeypatch.setattr(runtime, "_stream", counted)
+    assert len(list(run_batch(spec.run, Mode.GUIDED, 4, 5, observation=obs))) == 5
+    assert built == [0] * 5
+    built.clear()
+    assert len(list(run_batch(spec.run, Mode.RECORD, 4, 5))) == 5
+    assert built == [0] * 5 + [1] * 5
+
+
 def test_guided_runs_build_no_observation_stream():
     obs, _ = simzoo.make_observation("tau_decay_toy", 3)
     ctx = ExecutionContext(Mode.GUIDED, 1, observation=obs)
@@ -702,7 +772,6 @@ ALT_TAU = simzoo.TauToyConfig(
     noise_sigma=0.5, depth_profiles=((0.8, 0.2), (0.3, 0.7)), channel_kinds=("em", "had"),
     theta_max=0.4, lever_arm=1.0, spot_sigma=0.8,
 )
-CHUNK = runtime._CHUNK
 
 
 def _scalar(model):
@@ -796,6 +865,34 @@ def test_a_vectorised_body_failing_where_the_scalar_one_succeeds_raises_its_own_
                                       2 * CHUNK))
     assert got_lines == want_lines[:CHUNK]
     assert type(got) is RuntimeError and str(got) == "vectorised body failed"
+
+
+def test_a_failed_chunk_runs_again_on_the_same_seeds_without_building_them(monkeypatch):
+    def model(ctx):
+        ctx.predict("x", ctx.sample("x", Uniform(0.0, 1.0)))
+        ctx.observe("y", Normal(0.0, 1.0))
+
+    chunks = []
+
+    def second_chunk_fails(ctxs):
+        chunks.append(len(ctxs))
+        for ctx in ctxs:
+            model(ctx)
+        if len(chunks) == 2:
+            raise RuntimeError("vectorised body failed")
+
+    want = [_exact(t) for t in run_batch(model, Mode.RECORD, 9, 3 * CHUNK, 2)]
+    built = []
+    monkeypatch.setattr(runtime, "derived_seed",
+                        lambda *args: built.append(args) or derived_seed(*args))
+    got = []
+    with pytest.raises(RuntimeError, match="vectorised body failed"):
+        for trace in run_batch(_with_many(model, second_chunk_fails), Mode.RECORD, 9,
+                               3 * CHUNK, 2):
+            got.append(_exact(trace))
+    assert chunks == [CHUNK, CHUNK]
+    assert got == want[:2 * CHUNK]
+    assert built == [(9, 2)]  # the one check of the master seed
 
 
 def test_a_vectorised_body_leaving_a_scope_open_raises_scope_error():

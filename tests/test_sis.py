@@ -41,6 +41,12 @@ def test_particle_seeds_are_distinct_and_stable():
         == np.random.default_rng(a).random()
 
 
+def test_a_master_seed_of_none_is_a_config_error():
+    # None would give every particle fresh OS entropy, so two identical calls would differ
+    with pytest.raises(ConfigError, match="master_seed must be a non-negative int"):
+        sis_infer(GAUSSIAN, {"y": 1.0}, 4, master_seed=None)
+
+
 # ---------------------------------------------------------------------------
 # normalization and ESS
 
