@@ -321,7 +321,7 @@ def _seed_words(master_seed, key):
         raise ConfigError("master_seed must be a non-negative int or a sequence of them, got None")
     pool0 = [int(w) for w in derived_seed(master_seed, *key).pool]  # checks master_seed
 
-    def nwords(x):  # how many 32-bit words SeedSequence makes of x
+    def nwords(x):  # 32-bit words SeedSequence makes of x; n >= 4 words take 4n hashmixes
         return (sum(map(nwords, x)) if isinstance(x, (list, tuple, range, np.ndarray))
                 else max(operator.index(x).bit_length() + 31, 32) // 32)
 
@@ -334,7 +334,7 @@ def _seed_words(master_seed, key):
         pool, h = _mix_in(list(pool0), h0, i & _M32)
         if start >= 1 << 32:
             pool, h = _mix_in(pool, h, i >> 32)
-        pool, hb = _mix_in(pool, h, np.array([[0], [1]], np.uint64))[0], _INIT_B  # streams
+        pool, hb = _mix_in(pool, h, np.array([[0], [1]], np.uint64))[0], _INIT_B  # k as rows
         out = np.zeros((stop - start, 2, 4), np.uint64)
         for j in range(8):  # generate_state: 8 words cycling over the pool, low word first
             v = (pool[j % 4] ^ hb) * (hb := hb * _MULT_B & _M32) & _M32
@@ -345,7 +345,7 @@ def _seed_words(master_seed, key):
 
 
 _CHUNK = 64  # runs per model.many call: small arrays, and the first trace waits for one chunk
-_M32, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_M32, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 2**32 - 1, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 
 
 def run_batch(model, mode, master_seed, n, *key, observation=None, proposal_source=None):

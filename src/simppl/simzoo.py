@@ -162,7 +162,7 @@ class TauToyConfig:
 
 def _numbers(name, value, kind, cell=False):
     """A numeric config field with each (nested) list made a tuple of kind; TypeError naming
-    the first non-number (a string, a boolean) or, in an int field, float int() would cut."""
+    the first boolean or other non-number, or in an int field the first non-integer."""
     if isinstance(value, (tuple, list)):
         return tuple(_numbers(f"{name}[{i}]", v, kind, True) for i, v in enumerate(value))
     if type(value) is bool or not isinstance(value, numbers.Real) or (
