@@ -17,15 +17,20 @@ A sample statement draws from the prior unless guided and appends one
 TraceEntry. Every mode appends (scope_id, retries) to trace.scope_executions
 as each rejection scope exits, inner scopes before the scope that holds them.
 
-run_model executes a model once and sets its trace's log_weight. run_batch
-yields n executions one at a time for inference, trace generation, architecture
-discovery and training, and alone picks the body: model.many, a vectorised body
-a model may carry, runs unconditioned ones a chunk at a time. Latent draws use
-RNG stream 0 of the seed and synthetic observations stream 1 (built on the first
-such draw), its spawn(2) children without advancing its spawn counter. Run i of
-a batch has the streams of derived_seed(master_seed, *key, i), master_seed a
-non-negative int or a sequence of them, made a chunk of runs at a time without
-that SeedSequence; prior and guided runs on one seed share latent randomness.
+run_model executes a model once. A guided trace's log_weight, the run's result,
+is set before it returns; an unconditioned trace's log_weight and its batched
+observe log-likelihoods are computed on their first read (the parameters are
+checked at the statement), so training, which reads neither, computes neither.
+run_batch yields n executions one at a time for inference, trace generation,
+architecture discovery and training, and alone picks the body: model.many, a
+vectorised body a model may carry, runs unconditioned ones a chunk at a time.
+Latent draws use RNG stream 0 of the seed and synthetic observations stream 1
+(built on the first such draw), its spawn(2) children without advancing its
+spawn counter. Run i of a batch has the streams of derived_seed(master_seed,
+*key, i), master_seed a non-negative int or a sequence of them, made a chunk of
+runs at a time without that SeedSequence, which is built only when the model
+spawns from a stream or asks it for other words; prior and guided runs on one
+seed share latent randomness.
 """
 
 from __future__ import annotations
@@ -245,12 +250,12 @@ class FixedProposal:
 def observe_normal_batch(ctxs, site_ids, mu, sigma, values=None):
     """observe_normal_many(site_ids, mu[r], sigma[r], values[r]) in each context ctxs[r], all
     values drawn when values is None; its one writer. One parameter check names the first
-    site at fault (or the last if none is) before any context changes, and one log-density
-    pass covers the (contexts, sites) arrays. Returns each context's values as held."""
+    site at fault (or the last if none is) before any context changes; a context's block
+    computes its log-likelihoods on their first read. Returns each context's values as held."""
     site_ids = tuple(site_ids)
     n = len(site_ids)
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
+    mu = np.array(mu, dtype=float)  # copies: a block computes from them after the caller's edits
+    sigma = np.array(sigma, dtype=float)
     sizes = [a.shape[-1] if a.ndim and a.shape[:-1] == (len(ctxs),) else 0 for a in (mu, sigma)]
     if values is not None:
         sizes.extend(map(len, values))
@@ -277,16 +282,27 @@ def observe_normal_batch(ctxs, site_ids, mu, sigma, values=None):
             ctx._check_unconditioned(addrs[-1][0])
             drawn.append(ctx.obs_rng.normal(mu[r], sigma[r]))
     values = drawn if values is None else values
-    log_liks = normal_log_probs(np.array(values, dtype=float), mu, sigma)
-    for ctx, a, v, ll in zip(ctxs, addrs, values, log_liks):
-        ctx.trace.observe_blocks.append((a, ll, v))
+    for ctx, a, v, *row in zip(ctxs, addrs, values, np.array(values, dtype=float), mu, sigma):
+        ctx.trace.observe_blocks.append((a, _NormalLogLiks(row), v))
     return values
+
+
+@dataclass(slots=True, eq=False)
+class _NormalLogLiks:
+    """A block's log-likelihoods, normal_log_probs(x, mu, sigma) computed on the first read."""
+
+    cells: list  # [x, mu, sigma] until then, the row after (elementwise: a batch pass's bits)
+
+    def __array__(self, dtype=None, copy=None):
+        if type(self.cells) is list:
+            self.cells = normal_log_probs(*self.cells)
+        return np.array(self.cells, dtype, copy=copy)
 
 
 def _stream(ss, k):
     """ss.spawn(2)[k] of a fresh ss, without advancing ss's spawn counter; a _RunSeed's words."""
     if isinstance(ss, _RunSeed):
-        return _RunSeed(ss.words, k)
+        return _RunSeed(ss.words, ss.run, k)
     return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (k,), pool_size=ss.pool_size)
 
 
@@ -295,15 +311,26 @@ def derived_seed(master_seed, *key):
     return np.random.SeedSequence(entropy=master_seed, spawn_key=key)
 
 
-class _RunSeed(np.random.bit_generator.ISeedSequence):
-    """Seed of run i of a batch: words[k] is the PCG64 seed of its stream k, equal to
-    _stream(derived_seed(master_seed, *key, i), k).generate_state(4, np.uint64)."""
+class _RunSeed(np.random.bit_generator.ISpawnableSeedSequence):
+    """Seed of run i of a batch, run = (master_seed, key, i): words[k] is the PCG64 seed of
+    its stream k, _stream(derived_seed(master_seed, *key, i), k).generate_state(4, np.uint64).
+    Any other request, and spawn, go to that SeedSequence, built on first use."""
 
-    def __init__(self, words, k=0):
-        self.words, self.k = words, k
+    def __init__(self, words, run, k=0):
+        self.words, self.run, self.k = words, run, k
+
+    @functools.cached_property
+    def seed_seq(self):
+        master_seed, key, i = self.run
+        return _stream(derived_seed(master_seed, *key, i), self.k)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self.words[self.k]  # PCG64 asks for its 4 uint64 words
+        if n_words == 4 and dtype is np.uint64:  # PCG64's request
+            return self.words[self.k]
+        return self.seed_seq.generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self.seed_seq.spawn(n_children)
 
 
 def _mix_in(pool, h, word):
@@ -317,15 +344,16 @@ def _mix_in(pool, h, word):
 def _seed_words(master_seed, key):
     """Check master_seed and mix its words and key's once; return words(start, stop), whose
     [r, k] is the PCG64 seed of stream k of run start + r (below 2**64) of the batch at key."""
-    if master_seed is None:
-        raise ConfigError("master_seed must be a non-negative int or a sequence of them, got None")
-    pool0 = [int(w) for w in derived_seed(master_seed, *key).pool]  # checks master_seed
-
     def nwords(x):  # 32-bit words SeedSequence makes of x; n >= 4 words take 4n hashmixes
         return (sum(map(nwords, x)) if isinstance(x, (list, tuple, range, np.ndarray))
                 else max(operator.index(x).bit_length() + 31, 32) // 32)
 
-    h0 = _INIT_A * pow(_MULT_A, 4 * (max(4, nwords(master_seed)) + nwords(key)), 2**32) & _M32
+    try:  # nwords rejects non-ints and None (fresh OS entropy to SeedSequence); SeedSequence, < 0
+        h0 = _INIT_A * pow(_MULT_A, 4 * (max(4, nwords(master_seed)) + nwords(key)), 2**32) & _M32
+        pool0 = [int(w) for w in derived_seed(master_seed, *key).pool]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("master_seed must be a non-negative int or a sequence of them, "
+                          f"got {master_seed!r}") from exc
 
     def words(start, stop):
         if start < 1 << 32 < stop:  # indices from 2**32 on are two words
@@ -358,7 +386,8 @@ def run_batch(model, mode, master_seed, n, *key, observation=None, proposal_sour
     traces. A chunk it fails runs again through model: the run at fault raises its error,
     or else the vectorised body's error follows."""
     words = _seed_words(master_seed, key)  # run_batch is a generator: at the first next()
-    chunks = ([_RunSeed(w) for w in words(a, min(n, a + _CHUNK))] for a in range(0, n, _CHUNK))
+    chunks = ([_RunSeed(w, (master_seed, key, i))
+               for i, w in enumerate(words(a, min(n, a + _CHUNK)), a)] for a in range(0, n, _CHUNK))
     if hasattr(model, "many") and observation is None and Mode(mode) is not Mode.GUIDED:
         traces = _run_chunks(model, mode, chunks)
     else:
@@ -383,7 +412,8 @@ def _run_chunks(model, mode, chunks):
 
 
 def run_model(model, mode, seed, observation=None, proposal_source=None):
-    """Execute a model once and return its trace, log_weight set.
+    """Execute a model once and return its trace: log_weight set in guided mode, else
+    computed on its first read.
 
     Exceptions raised by the model body are wrapped in ModelExecutionError
     carrying the address of the last successful statement; instrumentation
@@ -401,10 +431,13 @@ def run_model(model, mode, seed, observation=None, proposal_source=None):
 
 
 def _finish(ctx):
-    """The context's trace with log_weight set; ScopeError for an open scope."""
+    """The context's trace; ScopeError for an open scope. A guided run's log_weight is its
+    result and is set here; an unconditioned run's is computed on its first read."""
     if ctx._scopes:
         open_ids = ", ".join(s.scope_id for s in ctx._scopes)
         raise ScopeError(f"model exited with open scope(s): {open_ids}")
-    trace = ctx.trace
-    trace.log_weight = trace_log_weight(trace)
-    return trace
+    if ctx.mode is Mode.GUIDED:
+        ctx.trace.log_weight = trace_log_weight(ctx.trace)
+    else:
+        del ctx.trace.log_weight  # computed on its next read
+    return ctx.trace

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import AllWeightsZero, ConfigError, MissingPredict, NonFiniteWeight, SimpplError
 from .runtime import Mode, derived_seed, run_batch
+from .trace import column_list
 
 particle_seed = derived_seed  # particle i's seed is particle_seed(master_seed, i)
 
@@ -53,7 +54,7 @@ def _first_term(traces, predicate):
             if predicate(entry.log_p - entry.log_q):
                 return entry.address, "log_p - log_q"
         for addrs, log_liks, _ in trace.observe_blocks:
-            for addr, log_lik in zip(addrs, log_liks):
+            for addr, log_lik in zip(addrs, column_list(log_liks)):
                 if predicate(log_lik):
                     return addr, "observe log-likelihood"
     return None, None

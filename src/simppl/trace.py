@@ -157,8 +157,13 @@ class ObserveEntry:
     value: object = None
 
 
+class _DeferredWeight:
+    """A trace's log_weight while unset (runtime._finish deletes it): computed on first read."""
+    log_weight = functools.cached_property(lambda trace: trace_log_weight(trace))  # defined below
+
+
 @dataclass(eq=False)
-class Trace:
+class Trace(_DeferredWeight):
     """One model execution.
 
     scope_executions holds (scope_id, retries) per rejection-scope execution
@@ -167,14 +172,18 @@ class Trace:
 
     observe_blocks is the one observe store: one (addresses, log-likelihoods,
     values) block per observe statement; values is None when read from JSONL.
-    `observes` is a read-only view, a fresh ObserveEntry list on each read.
+    A batched observe's log-likelihoods may be a row computed on its first
+    read; read every column through column_list. `observes` is a read-only
+    view, a fresh ObserveEntry list on each read. log_weight is 0.0 until
+    set; runtime._finish deletes an unconditioned run's, and the next read
+    computes trace_log_weight (_DeferredWeight).
     Equality is identity: blocks hold arrays, and no code compares traces.
     """
 
     entries: list = field(default_factory=list)
     predicts: dict = field(default_factory=dict)
     scope_executions: list = field(default_factory=list)
-    log_weight: float = 0.0
+    log_weight: float = field(default_factory=float)  # a class attribute would hide the base's
     trace_id: int = 0
     proposal_fallbacks: int = 0
     observe_blocks: list = field(default_factory=list, init=False, repr=False)
@@ -194,8 +203,8 @@ class Trace:
 
 
 def column_list(cells):
-    """A block's column as a list or tuple; a drawn array becomes Python floats."""
-    return cells.tolist() if hasattr(cells, "tolist") else cells
+    """A block's column as a list or tuple; an array or deferred row (__array__) becomes floats."""
+    return cells.__array__().tolist() if hasattr(cells, "__array__") else cells
 
 
 def trace_log_weight(trace):

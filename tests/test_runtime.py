@@ -120,14 +120,31 @@ def test_run_batch_runs_lazily():
 @pytest.mark.parametrize("master_seed, error, message", [
     # None would give every run fresh OS entropy, so two identical batches would differ
     (None, ConfigError, "master_seed must be a non-negative int or a sequence of them"),
-    (-1, ValueError, "expected non-negative integer"),
-    (1.5, TypeError, "SeedSequence expects int or sequence of ints"),
-    ([3, -2], ValueError, "expected non-negative integer"),
+    (-1, ConfigError, "master_seed must be .*, got -1$"),
+    (1.5, ConfigError, "master_seed must be .*, got 1.5$"),
+    ([3, -2], ConfigError, r"master_seed must be .*, got \[3, -2\]$"),
+    (["5"], ConfigError, r"master_seed must be .*, got \['5'\]$"),  # SeedSequence parses it
+    ("5", ConfigError, "master_seed must be .*, got '5'$"),
 ])
 def test_run_batch_checks_the_master_seed_at_the_first_next(master_seed, error, message):
     batch = run_batch(GAUSSIAN, Mode.PRIOR, master_seed, 3)
     with pytest.raises(error, match=message):
         next(batch)
+
+
+def test_batch_seeds_spawn_and_generate_the_state_of_the_seed_sequence_they_stand_for():
+    def model(ctx):
+        ctx.predict("states", [
+            [child.bit_generator.state for child in rng.spawn(2) + rng.spawn(1)]
+            + [rng.bit_generator.seed_seq.generate_state(8, np.uint32).tolist(),
+               rng.bit_generator.seed_seq.generate_state(2).tolist(), rng.random()]
+            for rng in (ctx.rng, ctx.obs_rng)])
+
+    for mode in (Mode.PRIOR, Mode.GUIDED):
+        batch = run_batch(model, mode, 2**33 + 7, CHUNK + 2, 4, observation={})
+        want = [run_model(model, mode, derived_seed(2**33 + 7, 4, i), observation={})
+                for i in range(CHUNK + 2)]
+        assert [t.predicts for t in batch] == [t.predicts for t in want]
 
 
 def test_run_batch_streams_are_the_children_of_derived_seed_across_chunks():
@@ -635,7 +652,8 @@ def test_seed_words_are_the_words_seed_sequence_generates(master_seed, key, star
         for k in (0, 1):
             want = np.random.SeedSequence(master_seed, spawn_key=(*key, i, k))
             assert words[r, k].tolist() == want.generate_state(4, np.uint64).tolist()
-            got = np.random.default_rng(runtime._stream(runtime._RunSeed(words[r]), k))
+            run_seed = runtime._RunSeed(words[r], (master_seed, tuple(key), i))
+            got = np.random.default_rng(runtime._stream(run_seed, k))
             stream = runtime._stream(derived_seed(master_seed, *key, i), k)
             assert got.bit_generator.state == np.random.default_rng(stream).bit_generator.state
 
@@ -959,3 +977,93 @@ def test_sis_infer_on_the_tau_spec_keeps_the_scalar_body(monkeypatch):
     got = sis.sis_infer(spec.run, observation, 8, source, master_seed=6)
     assert [_exact(t) for t in got.traces] == [_exact(t) for t in want.traces]
     assert got.log_weights.tobytes() == want.log_weights.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# observe log-likelihoods and weights of unconditioned runs, computed on first read
+
+
+def test_training_computes_no_observe_log_likelihood_or_weight(monkeypatch):
+    calls = []
+    for module, name in ((runtime, "normal_log_probs"), (runtime, "trace_log_weight"),
+                         (trace_mod, "trace_log_weight")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    spec = simzoo.get_model("tau_decay_toy")
+    net.train(spec, net.TrainingConfig(steps=2, master_seed=3, batch_size=8, learning_rate=1e-2))
+    assert calls == []
+    trace = next(run_batch(spec.run, Mode.RECORD, 3, 1))
+    weight = trace.log_weight
+    assert set(calls) == {"normal_log_probs", "trace_log_weight"}
+    calls.clear()
+    assert trace.log_weight == weight and trace.observes and calls == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    master_seed=st.integers(0, 2**64),
+    n=st.integers(1, 2 * CHUNK + 12),
+    mode=st.sampled_from([Mode.PRIOR, Mode.RECORD]),
+    weight_first=st.integers(0, 2**(2 * CHUNK + 12) - 1),
+)
+def test_deferred_log_likelihoods_and_weights_equal_eager_ones_read_in_any_order(
+        master_seed, n, mode, weight_first):
+    spec = simzoo.get_model("tau_decay_toy")
+    with pytest.MonkeyPatch.context() as patch:  # the reference computes each block at its observe
+        patch.setattr(runtime, "_NormalLogLiks", lambda row: runtime.normal_log_probs(*row))
+        want = [_exact(t) for t in run_batch(_scalar(spec.run), mode, master_seed, n)]
+    got = []
+    for i, trace in enumerate(list(run_batch(spec.run, mode, master_seed, n))):
+        weight = trace.log_weight.hex() if weight_first >> i & 1 else None  # before the blocks
+        got.append(_exact(trace))
+        assert weight in (None, got[-1][3])
+    assert got == want
+
+
+def test_a_nan_mu_in_a_record_batch_raises_parameter_error_at_its_observe():
+    reached = []
+
+    def model(ctx):
+        x = ctx.sample("x", Uniform(0.0, 1.0))
+        ctx.observe_normal_many(["a", "b"], [0.0, math.nan if x > 0.9 else x], [1.0, 1.0])
+        reached.append(x)
+
+    def many(ctxs):
+        xs = [ctx.sample("x", Uniform(0.0, 1.0)) for ctx in ctxs]
+        runtime.observe_normal_batch(ctxs, ["a", "b"], [[0.0, math.nan if x > 0.9 else x]
+                                                        for x in xs], [[1.0, 1.0]] * len(ctxs))
+        reached.extend(xs)
+
+    for body in (model, _with_many(model, many)):
+        reached.clear()
+        got = []
+        with pytest.raises(ParameterError, match=r"observe at b: need finite mu .*mu=nan"):
+            for trace in run_batch(body, Mode.RECORD, 5, CHUNK):
+                got.append(trace.entries[0].value)
+        assert 0 < len(got) < CHUNK and reached == got  # the run at fault stopped at the observe
+
+
+def test_a_block_computes_from_the_parameters_its_observe_was_given():
+    def model(ctx, edit):
+        mu, sigma = np.zeros(3), np.ones(3)
+        ctx.observe_normal_many(["a", "b", "c"], mu, sigma)
+        if edit:
+            mu += 5.0
+            sigma *= 2.0
+
+    assert (_exact(run_model(lambda ctx: model(ctx, True), Mode.RECORD, 4))
+            == _exact(run_model(lambda ctx: model(ctx, False), Mode.RECORD, 4)))
+
+
+def test_guided_runs_compute_their_log_likelihoods_and_weight_before_they_return(monkeypatch):
+    spec = simzoo.get_model("tau_decay_toy")
+    obs, _ = simzoo.make_observation("tau_decay_toy", 3)
+    traces = list(run_batch(spec.run, Mode.GUIDED, 3, 2, observation=obs))
+
+    def fail(*args):
+        raise AssertionError("computed after the run returned")
+
+    for module, name in ((runtime, "normal_log_probs"), (trace_mod, "trace_log_weight")):
+        monkeypatch.setattr(module, name, fail)
+    assert all(math.isfinite(t.log_weight) and len(t.observes) == 196 for t in traces)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,13 @@ def test_a_master_seed_of_none_is_a_config_error():
     # None would give every particle fresh OS entropy, so two identical calls would differ
     with pytest.raises(ConfigError, match="master_seed must be a non-negative int"):
         sis_infer(GAUSSIAN, {"y": 1.0}, 4, master_seed=None)
+
+
+@pytest.mark.parametrize("master_seed", [["5"], -1, 2.0, [1, 2.5]])
+def test_a_master_seed_that_is_not_non_negative_ints_is_a_config_error(master_seed):
+    got = re.escape(repr(master_seed))
+    with pytest.raises(ConfigError, match=f"master_seed must be .*, got {got}$"):
+        sis_infer(GAUSSIAN, {"y": 1.0}, 4, master_seed=master_seed)
 
 
 # ---------------------------------------------------------------------------
