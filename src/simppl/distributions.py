@@ -12,21 +12,28 @@ A family subclasses _Family and lists its parameters in __slots__, in the
 order of its constructor's arguments; _Family derives params, equality,
 hashing and repr from them. Each family defines __init__ and log_prob on its
 own class, not on a shared base, because the benchmark's tracer wraps them
-per class.
+per class. scipy.special is imported on the first proposal_nll_grads call.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from functools import partial
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln
 
 from .errors import DimensionMismatch, ParameterError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _NEG_INF = float("-inf")
+
+
+def scipy_special(name, *args, namespace=globals()):
+    """scipy.special.<name>(*args); first binds namespace[name], a partial of this, to the ufunc."""
+    from scipy import special
+    namespace[name] = getattr(special, name)
+    return namespace[name](*args)
 
 
 def softplus(x):
@@ -303,6 +310,7 @@ def from_params(family, params):
 # ---------------------------------------------------------------------------
 # proposal families: -log q and d(-log q)/d raw, row-wise over (n, dim) raw,
 # constrained parameters, values and prior parameters; +inf off the support
+digamma, expit, gammaln = (partial(scipy_special, n) for n in ("digamma", "expit", "gammaln"))
 
 
 def _normal_nll_grad(raw, q, x, prior_params):

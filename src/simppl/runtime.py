@@ -36,7 +36,6 @@ seed share latent randomness.
 from __future__ import annotations
 
 import enum
-import functools
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -55,7 +54,7 @@ from .errors import (
     ScopeUnderflow,
     SimpplError,
 )
-from .trace import AddressTable, Trace, TraceEntry, trace_log_weight
+from .trace import AddressTable, Trace, TraceEntry, cached_attribute, trace_log_weight
 
 
 class Mode(str, enum.Enum):
@@ -95,7 +94,7 @@ class ExecutionContext:
         self._scopes = []
         self._last_address = None
 
-    @functools.cached_property
+    @cached_attribute
     def obs_rng(self):
         """RNG stream 1, built on the first synthetic observation draw."""
         return np.random.default_rng(_stream(self._seed, 1))
@@ -319,7 +318,7 @@ class _RunSeed(np.random.bit_generator.ISpawnableSeedSequence):
     def __init__(self, words, run, k=0):
         self.words, self.run, self.k = words, run, k
 
-    @functools.cached_property
+    @cached_attribute
     def seed_seq(self):
         master_seed, key, i = self.run
         return _stream(derived_seed(master_seed, *key, i), self.k)

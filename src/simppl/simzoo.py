@@ -9,7 +9,7 @@ MODEL_NAMES all read:
   tau_decay_toy           decay-channel + momentum inference from a small
                           segmented-calorimeter image; its spec.run carries the
                           vectorised body as spec.run.many, which only
-                          runtime.run_batch picks
+                          runtime.run_batch picks; image and oracle load scipy on first use
 
 Each oracle is an independent route to the posterior (analytic form, dense
 grid quadrature, or channel enumeration plus 3-D quadrature) used to validate
@@ -25,14 +25,14 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import ndtr
 
-from .distributions import Categorical, Exponential, Normal, Uniform
+from .distributions import Categorical, Exponential, Normal, Uniform, scipy_special
 from .errors import ConfigInvalid, UnsupportedModel
 from .runtime import Mode, observe_normal_batch, run_model
 from .trace import column_list
 
 _LOG_2PI = math.log(2.0 * math.pi)
+ndtr = functools.partial(scipy_special, "ndtr", namespace=globals())
 
 # Cell energies below this floor keep a fixed noise scale so empty cells do
 # not get a degenerate likelihood.

@@ -157,13 +157,18 @@ class ObserveEntry:
     value: object = None
 
 
-class _DeferredWeight:
-    """A trace's log_weight while unset (runtime._finish deletes it): computed on first read."""
-    log_weight = functools.cached_property(lambda trace: trace_log_weight(trace))  # defined below
+class cached_attribute:
+    """A lock-free cached property: the first read stores func(obj) in obj.__dict__[name]."""
+
+    def __init__(self, func, name=None):
+        self.func, self.name = func, name or func.__name__
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
 
 
 @dataclass(eq=False)
-class Trace(_DeferredWeight):
+class Trace:
     """One model execution.
 
     scope_executions holds (scope_id, retries) per rejection-scope execution
@@ -176,14 +181,14 @@ class Trace(_DeferredWeight):
     read; read every column through column_list. `observes` is a read-only
     view, a fresh ObserveEntry list on each read. log_weight is 0.0 until
     set; runtime._finish deletes an unconditioned run's, and the next read
-    computes trace_log_weight (_DeferredWeight).
+    computes trace_log_weight (the cached_attribute below trace_log_weight).
     Equality is identity: blocks hold arrays, and no code compares traces.
     """
 
     entries: list = field(default_factory=list)
     predicts: dict = field(default_factory=dict)
     scope_executions: list = field(default_factory=list)
-    log_weight: float = field(default_factory=float)  # a class attribute would hide the base's
+    log_weight: float = 0.0  # the class attribute is replaced below trace_log_weight
     trace_id: int = 0
     proposal_fallbacks: int = 0
     observe_blocks: list = field(default_factory=list, init=False, repr=False)
@@ -220,6 +225,9 @@ def trace_log_weight(trace):
     if -math.inf in terms:
         return -math.inf
     return math.fsum(terms)
+
+
+Trace.log_weight = cached_attribute(lambda t: trace_log_weight(t), "log_weight")  # late-bound
 
 
 def trace_to_obj(trace):

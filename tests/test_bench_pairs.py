@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's summary of one metric's pairs, on canned numbers, and its
-argument check, with no benchmark run."""
+argument check and its record of each tree's bytecode cache, with no benchmark run."""
 
+import json
 import os
 import subprocess
 import sys
@@ -61,3 +62,44 @@ def test_fewer_than_two_pairs_is_a_usage_error_before_any_run(tmp_path, capsys, 
     assert exc.value.code == 2
     assert f"--pairs must be >= 2, got {pairs}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bytecode_cache_reads_the_run_environment_and_the_tree(tmp_path):
+    bytecode_cache = _bench_pairs().bytecode_cache
+    assert bytecode_cache(str(tmp_path), {}) == {"PYTHONDONTWRITEBYTECODE": False,
+                                                 "src_pycache": False}
+    (tmp_path / "src" / "simppl" / "__pycache__").mkdir(parents=True)
+    assert bytecode_cache(str(tmp_path), {"PYTHONDONTWRITEBYTECODE": "1"}) == {
+        "PYTHONDONTWRITEBYTECODE": True, "src_pycache": True}
+    # Python ignores the variable when it is empty
+    assert not bytecode_cache(str(tmp_path), {"PYTHONDONTWRITEBYTECODE": ""})[
+        "PYTHONDONTWRITEBYTECODE"]
+
+
+def test_the_report_holds_each_trees_bytecode_cache_before_and_after_its_runs(tmp_path,
+                                                                             monkeypatch):
+    bench_pairs = _bench_pairs()
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        (tree / "src" / "simppl").mkdir(parents=True)
+        (tree / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": [{"name": "setup_s", "better": "lower"}]}))
+    (trees["parent"] / "src" / "simppl" / "__pycache__").mkdir()
+
+    def run_once(tree, workload, seed, seconds):  # a run that compiles src/ leaves a cache
+        os.makedirs(os.path.join(tree, "src", "simppl", "__pycache__"), exist_ok=True)
+        return {"metrics": {"setup_s": {"value": 0.1 * seed}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "golden_sha", lambda tree: "sha")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+                             "--pairs", "2", "--workloads", "rejection-cli",
+                             "--out", str(out)]) == 0
+    state = {cached: {"PYTHONDONTWRITEBYTECODE": False, "src_pycache": cached}
+             for cached in (False, True)}
+    assert json.loads(out.read_text())["bytecode_cache"] == {
+        "parent": {"before": state[True], "after": state[True]},
+        "change": {"before": state[False], "after": state[True]},
+    }

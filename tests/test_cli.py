@@ -680,6 +680,60 @@ def test_module_invocation_matches_in_process(tmp_path):
     assert out_sub.read_bytes() == out_in.read_bytes()
 
 
+# A fresh interpreter imports simppl.cli, optionally with scipy blocked, runs each argv
+# through cli.main and prints, as its last line, whether scipy.special was loaded after
+# the import and after each command.
+_FRESH_CLI = """
+import json, sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import simppl, simppl.cli
+loaded = [sys.modules.get("scipy") is not None]
+for argv in json.loads(sys.argv[2]):
+    assert simppl.cli.main(argv) == 0, argv
+    loaded.append("scipy.special" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _fresh_cli(block, argvs):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_CLI, block, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scipy_loads_only_for_the_tau_model_and_training(tmp_path):
+    obs = {"rejection_demo": {"y": 0.5}, "gaussian_unknown_mean": {"y": 1.0}}
+    runs = {}
+    for block in ("block", "free"):
+        out = tmp_path / block
+        out.mkdir()
+        argvs = []
+        for model, values in obs.items():
+            path = {ext: str(out / f"{model}.{ext}")
+                    for ext in ("jsonl", "dot", "stats.json", "obs.json", "post.json")}
+            write_observation(out / f"{model}.obs.json", model, values)
+            argvs += [["generate", "--model", model, "--n", "30", "--seed", "5",
+                       "--out", path["jsonl"]],
+                      ["inspect", "--traces", path["jsonl"], "--dot-out", path["dot"],
+                       "--stats-out", path["stats.json"]],
+                      ["infer", "--model", model, "--observation", path["obs.json"],
+                       "--particles", "40", "--seed", "6", "--out", path["post.json"]]]
+        assert _fresh_cli(block, argvs) == [False] * 7
+        runs[block] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(runs["free"]) == 10
+    assert runs["block"] == runs["free"]
+    # the tau image and a training step each still load it
+    assert _fresh_cli("free", [["generate", "--model", "tau_decay_toy", "--n", "2", "--seed",
+                                "1", "--out", str(tmp_path / "tau.jsonl")]]) == [False, True]
+    assert _fresh_cli("free", [["train", "--model", "gaussian_unknown_mean", "--steps", "1",
+                                "--seed", "1", "--batch-size", "4",
+                                "--net-out", str(tmp_path / "net.json")]]) == [False, True]
+
+
 # ---------------------------------------------------------------------------
 # streamed generate and typed trace fields
 

@@ -9,8 +9,9 @@ in even pairs and the change first in odd ones, so a slow stretch of the host
 falls on both sides alike. The file holds every run's end-to-end metrics and,
 per metric, each side's median and quartiles and the number of pairs the
 change won; also the host's core count, the Python, numpy and scipy versions,
-and the sha256 of each tree's golden outputs (tests/test_golden.py run as a
-script).
+the sha256 of each tree's golden outputs (tests/test_golden.py run as a
+script), and each tree's bytecode-cache state before and after its runs:
+rejection-cli setup_s includes compiling src/ when no cache exists.
 """
 
 from __future__ import annotations
@@ -47,9 +48,20 @@ def summarize(parent, change, better):
     }
 
 
+def run_env():
+    """The environment of every benchmark run: this one without PYTHONPATH."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+
+def bytecode_cache(tree, env):
+    """Whether env stops Python writing bytecode, and whether tree's package has a cache."""
+    return {"PYTHONDONTWRITEBYTECODE": bool(env.get("PYTHONDONTWRITEBYTECODE")),
+            "src_pycache": os.path.isdir(os.path.join(tree, "src", "simppl", "__pycache__"))}
+
+
 def run_once(tree, workload, seed, seconds):
     """The result line of one `benchmark/run.py --trace 0` run in tree."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env = run_env()
     proc = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -90,6 +102,8 @@ def main(argv=None):
         "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                  "numpy": numpy.__version__, "scipy": scipy.__version__},
         "golden_sha256": {side: golden_sha(tree) for side, tree in trees.items()},
+        "bytecode_cache": {side: {"before": bytecode_cache(tree, run_env())}
+                           for side, tree in trees.items()},
         "pairs": args.pairs, "seconds": args.seconds, "workloads": {},
     }
     for workload in args.workloads:
@@ -108,6 +122,8 @@ def main(argv=None):
                                         direction)
                         for name, direction in better.items()},
         }
+    for side, tree in trees.items():
+        report["bytecode_cache"][side]["after"] = bytecode_cache(tree, run_env())
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
