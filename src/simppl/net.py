@@ -430,7 +430,11 @@ def _check_shapes(net):
     actual = {k: v.shape for k, v in net.params.arrays.items()}
     if actual != _param_shapes(arch):
         raise ValueError("parameter arrays do not match the architecture")
-    if net.standardization.mean.shape != (arch.obs_dim,) or net.standardization.std.shape != (
-        arch.obs_dim,
-    ):
+    std = net.standardization
+    if std.mean.shape != (arch.obs_dim,) or std.std.shape != (arch.obs_dim,):
         raise ValueError("standardization vectors do not match obs_dim")
+    for name, arr in [*net.params.arrays.items(), ("standardization.mean", std.mean)]:
+        if not np.isfinite(arr).all():
+            raise ValueError(f"array {name} is not finite")
+    if not (np.isfinite(std.std) & (std.std > 0)).all():
+        raise ValueError("array standardization.std must be positive and finite")

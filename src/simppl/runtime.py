@@ -411,8 +411,7 @@ def _run_chunks(model, mode, chunks):
 
 
 def run_model(model, mode, seed, observation=None, proposal_source=None):
-    """Execute a model once and return its trace: log_weight set in guided mode, else
-    computed on its first read.
+    """Execute a model once and return its trace, its log_weight set if guided.
 
     Exceptions raised by the model body are wrapped in ModelExecutionError
     carrying the address of the last successful statement; instrumentation
@@ -430,13 +429,10 @@ def run_model(model, mode, seed, observation=None, proposal_source=None):
 
 
 def _finish(ctx):
-    """The context's trace; ScopeError for an open scope. A guided run's log_weight is its
-    result and is set here; an unconditioned run's is computed on its first read."""
+    """The context's trace, its log_weight set if guided; ScopeError for an open scope."""
     if ctx._scopes:
         open_ids = ", ".join(s.scope_id for s in ctx._scopes)
         raise ScopeError(f"model exited with open scope(s): {open_ids}")
     if ctx.mode is Mode.GUIDED:
         ctx.trace.log_weight = trace_log_weight(ctx.trace)
-    else:
-        del ctx.trace.log_weight  # computed on its next read
     return ctx.trace

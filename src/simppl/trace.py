@@ -160,8 +160,8 @@ class ObserveEntry:
 class cached_attribute:
     """A lock-free cached property: the first read stores func(obj) in obj.__dict__[name]."""
 
-    def __init__(self, func, name=None):
-        self.func, self.name = func, name or func.__name__
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
 
     def __get__(self, obj, owner=None):
         return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
@@ -179,16 +179,14 @@ class Trace:
     values) block per observe statement; values is None when read from JSONL.
     A batched observe's log-likelihoods may be a row computed on its first
     read; read every column through column_list. `observes` is a read-only
-    view, a fresh ObserveEntry list on each read. log_weight is 0.0 until
-    set; runtime._finish deletes an unconditioned run's, and the next read
-    computes trace_log_weight (the cached_attribute below trace_log_weight).
-    Equality is identity: blocks hold arrays, and no code compares traces.
+    view, a fresh ObserveEntry list on each read. log_weight, unless set
+    first (guided runs and JSONL reads set it), is trace_log_weight computed
+    on its first read. Equality is identity: blocks hold arrays.
     """
 
     entries: list = field(default_factory=list)
     predicts: dict = field(default_factory=dict)
     scope_executions: list = field(default_factory=list)
-    log_weight: float = 0.0  # the class attribute is replaced below trace_log_weight
     trace_id: int = 0
     proposal_fallbacks: int = 0
     observe_blocks: list = field(default_factory=list, init=False, repr=False)
@@ -200,6 +198,10 @@ class Trace:
             values = [None] * len(addrs) if values is None else column_list(values)
             out += map(ObserveEntry, addrs, column_list(log_liks), values)
         return out
+
+    @cached_attribute
+    def log_weight(self):
+        return trace_log_weight(self)
 
     @property
     def length(self):
@@ -225,9 +227,6 @@ def trace_log_weight(trace):
     if -math.inf in terms:
         return -math.inf
     return math.fsum(terms)
-
-
-Trace.log_weight = cached_attribute(lambda t: trace_log_weight(t), "log_weight")  # late-bound
 
 
 def trace_to_obj(trace):
@@ -286,9 +285,9 @@ def obj_to_trace(obj):
     trace = Trace(
         predicts=dict(obj["predicts"]),
         scope_executions=[tuple(p) for p in _field(obj, "scopes")],
-        log_weight=_field(obj, "log_weight"),
         trace_id=_field(obj, "trace_id"),
     )
+    trace.log_weight = _field(obj, "log_weight")
     for e in obj["entries"]:
         addr = parse_address(e["addr"])
         if addr.family_tag != e["family"]:

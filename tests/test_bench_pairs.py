@@ -1,5 +1,6 @@
 """tools/bench_pairs.py's summary of one metric's pairs, on canned numbers, and its
-argument check and its record of each tree's bytecode cache, with no benchmark run."""
+argument check and its record of each tree's bytecode cache and src/ line count, with
+no benchmark run."""
 
 import json
 import os
@@ -85,6 +86,13 @@ def test_the_report_holds_each_trees_bytecode_cache_before_and_after_its_runs(tm
         (tree / "BENCHMARK.json").write_text(
             json.dumps({"end_to_end": [{"name": "setup_s", "better": "lower"}]}))
     (trees["parent"] / "src" / "simppl" / "__pycache__").mkdir()
+    # src_lines counts newlines of src/simppl/*.py only, as `wc -l` does: a last line
+    # without a newline is not counted, nor are other files
+    (trees["parent"] / "src" / "simppl" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (trees["parent"] / "src" / "simppl" / "b.py").write_text("z = 3\nw = 4")
+    (trees["parent"] / "src" / "simppl" / "notes.txt").write_text("\n" * 9)
+    (trees["parent"] / "src" / "simppl" / "__pycache__" / "a.py").write_text("\n" * 9)
+    (trees["change"] / "src" / "simppl" / "a.py").write_text("x = 1\n")
 
     def run_once(tree, workload, seed, seconds):  # a run that compiles src/ leaves a cache
         os.makedirs(os.path.join(tree, "src", "simppl", "__pycache__"), exist_ok=True)
@@ -99,7 +107,9 @@ def test_the_report_holds_each_trees_bytecode_cache_before_and_after_its_runs(tm
                              "--out", str(out)]) == 0
     state = {cached: {"PYTHONDONTWRITEBYTECODE": False, "src_pycache": cached}
              for cached in (False, True)}
-    assert json.loads(out.read_text())["bytecode_cache"] == {
+    report = json.loads(out.read_text())
+    assert report["bytecode_cache"] == {
         "parent": {"before": state[True], "after": state[True]},
         "change": {"before": state[False], "after": state[True]},
     }
+    assert report["src_lines"] == {"parent": 4, "change": 1}

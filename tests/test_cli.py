@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from simppl import cli, simzoo
+from simppl.errors import ConfigInvalid
 from simppl.net import load_net
 from simppl.runtime import Mode, run_batch
 from simppl.trace import trace_to_line
@@ -169,6 +170,31 @@ def test_infer_with_trained_net(tmp_path, capsys):
     assert "mu" in result["summaries"]
 
 
+@pytest.mark.parametrize("part, key, value, message", [
+    ("params", "obs_b", math.nan, "array obs_b is not finite"),
+    ("standardization", "std", 0.0, "array standardization.std must be positive and finite"),
+], ids=["nan-param", "zero-std"])
+def test_infer_rejects_a_corrupt_network_file_naming_the_file_and_array(
+        tmp_path, capsys, part, key, value, message):
+    # train never writes either: it raises NonFiniteLoss, and std is floored at 1e-6
+    net_path = tmp_path / "net.json"
+    assert cli.main(["train", "--model", "gaussian_unknown_mean", "--steps", "3",
+                     "--seed", "1", "--batch-size", "8", "--net-out", str(net_path)]) == 0
+    obj = json.loads(net_path.read_text())
+    obj[part][key][0] = value
+    net_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    obs = write_observation(tmp_path / "obs.json", "gaussian_unknown_mean", {"y": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero on the way to the error
+        rc = cli.main(["infer", "--model", "gaussian_unknown_mean", "--observation", obs,
+                       "--net", str(net_path), "--particles", "10", "--seed", "2",
+                       "--out", str(tmp_path / "o.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {net_path}: {message}\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_infer_bytes_stable_across_threads(tmp_path, capsys):
     obs = write_observation(tmp_path / "obs.json", "gaussian_unknown_mean",
                             {"y": -0.3})
@@ -233,6 +259,23 @@ def test_inspect_reports_retries_recorded_in_record_mode(tmp_path, capsys):
     assert record == scope_hist("prior")
     assert sum(record["disc"].values()) == 500
     assert set(record["disc"]) != {"0"}
+
+
+def test_inspect_rejects_a_family_field_that_disagrees_with_its_address(tmp_path, capsys):
+    traces = tmp_path / "traces.jsonl"
+    assert cli.main(["generate", "--model", "rejection_demo", "--n", "3",
+                     "--seed", "5", "--out", str(traces)]) == 0
+    capsys.readouterr()
+    lines = traces.read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["entries"][0]["family"] = "Normal"
+    lines[1] = json.dumps(obj)
+    traces.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["inspect", "--traces", str(traces), "--dot-out", str(tmp_path / "g.dot"),
+                   "--stats-out", str(tmp_path / "s.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2:") and "family field 'Normal' disagrees with" in err
 
 
 def test_inspect_non_utf8_trace_file_is_runtime_failure(tmp_path, capsys):
@@ -432,6 +475,20 @@ def test_infer_rejects_a_tau_config_field_of_the_wrong_type(tmp_path, capsys, pa
     config = {**SMALL_TAU.to_dict(), **patch}
     assert _infer(tmp_path, "tau_decay_toy", {"cells": values["cells"]}, config) == 2
     assert capsys.readouterr().err == f"error: bad tau_decay_toy config: {message}\n"
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"n_channels": 0}, "n_channels must be >= 1"),
+    ({"channel_prior": [1.0]}, "channel_prior length must equal n_channels"),
+    ({"depth_profiles": [[0.5, 0.3, 0.2], [0.3, 0.7]]}, "depth profile 0 must have 2 fractions"),
+], ids=["n_channels", "channel_prior", "depth_profiles"])
+def test_infer_rejects_a_tau_config_of_the_wrong_size(tmp_path, capsys, patch, message):
+    config = {**SMALL_TAU.to_dict(), **patch}
+    with pytest.raises(ConfigInvalid, match=message):
+        TauToyConfig(**config)
+    values, _ = make_observation("tau_decay_toy", 3, SMALL_TAU)
+    assert _infer(tmp_path, "tau_decay_toy", {"cells": values["cells"]}, config) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("patch, message", [

@@ -169,6 +169,21 @@ def test_categorical_sample_is_python_int():
     assert type(v) is int
 
 
+def test_categorical_draw_above_a_sum_just_under_one_is_the_last_index():
+    class StubRng:
+        def random(self):
+            return 1.0 - 5e-11
+
+    d = Categorical((0.5, 0.5 - 1e-10))  # within the 1e-9 tolerance
+    assert sum(d.probs) < StubRng().random()
+    assert d.sample(StubRng()) == 1
+
+
+def test_a_boolean_is_not_a_count():
+    assert Categorical((0.5, 0.5)).log_prob(True) == -math.inf
+    assert Poisson(1.0).log_prob(True) == -math.inf
+
+
 def test_sampling_is_reproducible():
     d = Normal(0.0, 1.0)
     a = d.sample(np.random.default_rng(42))
@@ -229,6 +244,11 @@ def test_proposal_raw_map_frozen_examples():
     assert q.probs == pytest.approx((0.5, 0.5))
     q = proposal_from_params(Poisson(4.0), [2.0])
     assert q.rate == pytest.approx(softplus(2.0))
+
+
+def test_a_prior_without_a_proposal_family_has_no_proposal_dimension():
+    with pytest.raises(ParameterError, match="no proposal family for prior 'ScaledBeta'"):
+        proposal_param_dim(ScaledBeta(1.0, 1.0, 0.0, 1.0))
 
 
 def test_proposal_wrong_dim_raises():

@@ -26,6 +26,8 @@ from simppl.errors import (
     VersionMismatch,
 )
 from simppl.net import (
+    HeadSpec,
+    NetArchitecture,
     NetParams,
     ProposalNetwork,
     Standardization,
@@ -104,6 +106,28 @@ def test_standardization_floor_on_constant_observations():
 def test_discovery_rejects_single_simulation():
     with pytest.raises(ConfigError):
         discover_architecture(GAUSSIAN, 1, n_sims=1)
+
+
+def one_or_two_cells(ctx):
+    n = ctx.sample("n", Categorical((0.5, 0.5)))
+    for i in range(n + 1):
+        ctx.observe(f"y{i}", Normal(0.0, 1.0), ctx.observed(f"y{i}"))
+
+
+def test_discovery_rejects_a_model_observing_a_varying_number_of_cells():
+    spec = simzoo.ModelSpec(name="varying", run=one_or_two_cells, obs_to_vector=None,
+                            observation_from_values=None)
+    with pytest.raises(ConfigError, match="varying observation layout"):
+        discover_architecture(spec, 1, n_sims=16)
+
+
+@pytest.mark.parametrize("arch", [
+    lambda: NetArchitecture(obs_dim=0),
+    lambda: NetArchitecture(obs_dim=1, heads={"mu:Normal": HeadSpec("Normal", 0)}),
+], ids=["obs_dim", "head-out_dim"])
+def test_architecture_rejects_a_zero_dimension(arch):
+    with pytest.raises(ConfigError):
+        arch()
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +338,25 @@ def test_batched_step_unknown_head_raises():
         ic_grad(net, record_batch(ALL_FAMILIES, 4))
 
 
+def test_ic_loss_rejects_an_empty_batch():
+    with pytest.raises(ValueError, match="batch must be non-empty"):
+        ic_loss(gaussian_net(), [])
+
+
+def categorical_model(k):
+    def model(ctx):
+        c = ctx.sample("c", Categorical((1.0 / k,) * k))
+        ctx.observe("y", Normal(float(c), 1.0), ctx.observed("y"))
+    return simzoo.ModelSpec(name=f"categorical{k}", run=model, obs_to_vector=None,
+                            observation_from_values=None)
+
+
+def test_batched_step_rejects_a_categorical_prior_wider_than_its_head():
+    net = perturbed_net(categorical_model(2), 1, n_sims=8)
+    with pytest.raises(DimensionMismatch, match="head 'c:Categorical' does not fit prior"):
+        ic_loss(net, record_batch(categorical_model(3), 4))
+
+
 def test_batched_step_rejects_observation_of_wrong_shape():
     net = perturbed_net(ALL_FAMILIES, 1)
     batch = record_batch(ALL_FAMILIES, 4)
@@ -421,6 +464,14 @@ def test_divergent_learning_rate_raises_nonfinite():
         train(GAUSSIAN, cfg)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_an_update_that_overflows_the_parameters_raises_nonfinite():
+    # the loss and the clipped gradient of step 0 are finite; lr times the gradient is not
+    cfg = TrainingConfig(steps=3, master_seed=3, batch_size=4, learning_rate=1e308)
+    with pytest.raises(NonFiniteLoss, match="step 0: parameters became non-finite"):
+        train(GAUSSIAN, cfg)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         TrainingConfig(steps=-1)
@@ -489,6 +540,47 @@ def test_load_rejects_garbage_and_truncations(tmp_path):
     path.write_text(json.dumps({"no_version": True}))
     with pytest.raises((MalformedFile, VersionMismatch)):
         load_net(path)
+
+
+def saved_net_obj(path):
+    save_net(gaussian_net(), path)
+    return json.loads(path.read_text())
+
+
+def test_load_rejects_a_standardization_shorter_than_obs_dim(tmp_path):
+    path = tmp_path / "net.json"
+    obj = saved_net_obj(path)
+    obj["standardization"]["std"] = []
+    path.write_text(json.dumps(obj))
+    with pytest.raises(MalformedFile, match="standardization vectors do not match obs_dim"):
+        load_net(path)
+
+
+@pytest.mark.parametrize("part, key, value, message", [
+    ("params", "trunk_b", math.inf, "array trunk_b is not finite"),
+    ("params", "head_W::mu:Normal", math.nan, "array head_W::mu:Normal is not finite"),
+    ("standardization", "mean", math.nan, "array standardization.mean is not finite"),
+    ("standardization", "std", -1.0, "array standardization.std must be positive and finite"),
+    ("standardization", "std", math.inf, "array standardization.std must be positive and finite"),
+    ("standardization", "std", math.nan, "array standardization.std must be positive and finite"),
+])
+def test_load_rejects_a_non_finite_array_naming_the_file_and_array(
+        tmp_path, part, key, value, message):
+    path = tmp_path / "net.json"
+    obj = saved_net_obj(path)
+    cell = obj[part][key]
+    while isinstance(cell[0], list):  # the first number of a nested list
+        cell = cell[0]
+    cell[0] = value
+    path.write_text(json.dumps(obj))
+    with pytest.raises(MalformedFile) as err:
+        load_net(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_the_benchmark_network_loads():
+    net = load_net(os.path.join(INPUTS, "tau_net.json"))
+    assert net.arch.obs_dim == 196
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simppl import net, runtime, simzoo, sis
 from simppl import trace as trace_mod
@@ -28,7 +28,7 @@ from simppl.runtime import (
     run_batch,
     run_model,
 )
-from simppl.trace import obj_to_trace, trace_log_weight, trace_to_line
+from simppl.trace import column_list, obj_to_trace, trace_log_weight, trace_to_line
 
 REJECTION = simzoo.get_model("rejection_demo").run
 GAUSSIAN = simzoo.get_model("gaussian_unknown_mean").run
@@ -643,6 +643,7 @@ _WORD = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1)
         lambda border: st.integers(max(0, border - CHUNK - 2), border + 2)),
     length=st.integers(1, CHUNK + 3),
 )
+@example(master_seed=5, key=[1], start=2**32 - 2, length=4)  # a range that crosses 2**32
 def test_seed_words_are_the_words_seed_sequence_generates(master_seed, key, start, length):
     # the guard against a change in numpy's SeedSequence: run_batch seeds every run from
     # these words and never builds the SeedSequences they stand for
@@ -1019,6 +1020,40 @@ def test_deferred_log_likelihoods_and_weights_equal_eager_ones_read_in_any_order
         got.append(_exact(trace))
         assert weight in (None, got[-1][3])
     assert got == want
+
+
+_FINITE_OR_MINUS_INF = st.floats(allow_nan=False, allow_infinity=False) | st.just(-math.inf)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["gaussian_unknown_mean", "rejection_demo", "tau_decay_toy"]),
+    mode=st.sampled_from(list(Mode)),
+    master_seed=st.integers(0, 2**64),
+    n=st.integers(1, CHUNK + 2),
+    data=st.data(),
+)
+def test_a_weight_is_computed_on_its_first_read_unless_set_and_survives_jsonl(
+        name, mode, master_seed, n, data):
+    spec = simzoo.get_model(name)
+    observation = source = None
+    if mode is Mode.GUIDED:
+        observation, _ = simzoo.make_observation(name, 3)
+        if name == "tau_decay_toy":  # entries then add log_p - log_q != 0
+            source = net.TrainedProposal(net.load_net(TAU_NET), spec.obs_to_vector(observation))
+    for trace in run_batch(spec.run, mode, master_seed, n, observation=observation,
+                           proposal_source=source):
+        set_weight = data.draw(st.none() | _FINITE_OR_MINUS_INF, label="set weight")
+        if set_weight is not None:
+            trace.log_weight = set_weight
+        for _, log_liks, _ in trace.observe_blocks[:data.draw(  # the weight read after k blocks
+                st.integers(0, len(trace.observe_blocks)), label="blocks read first")]:
+            column_list(log_liks)
+        weight = trace.log_weight
+        computed = trace_log_weight(trace)
+        assert weight.hex() == (computed if set_weight is None else set_weight).hex()
+        back = obj_to_trace(json.loads(trace_to_line(trace)))
+        assert back.log_weight.hex() == weight.hex()
 
 
 def test_a_nan_mu_in_a_record_batch_raises_parameter_error_at_its_observe():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -48,6 +49,12 @@ def test_parse_roundtrip_simple():
     b = parse_address(a.rendered)
     assert b is intern_address(a.path, a.family_tag, a.instance)
     assert (b.path, b.family_tag, b.instance) == (("disc", "u"), "Uniform", 7)
+
+
+@pytest.mark.parametrize("text", ["mu:Normal", "mu#0", "mu:Normal#x", ""])
+def test_unparseable_address_is_a_value_error(text):
+    with pytest.raises(ValueError, match="unparseable address"):
+        parse_address(text)
 
 
 # site ids may not contain the rendering separators, so any rendered string
@@ -139,6 +146,20 @@ def test_log_weight_sums_likelihoods_and_ratios():
     assert trace_log_weight(t) == pytest.approx(-2.0 + (-0.5 - -0.25))
 
 
+def test_a_hand_built_trace_computes_its_weight_on_first_read():
+    t = Trace()
+    t.entries.append(make_entry(intern_address(("m",), "Normal", 0), log_p=-0.5, log_q=-0.25))
+    assert t.log_weight == -0.25
+    t.entries.append(make_entry(intern_address(("m",), "Normal", 1), log_p=-1.0, log_q=0.0))
+    assert t.log_weight == -0.25  # computed once, on the first read
+
+
+def test_log_weight_is_not_a_constructor_field():
+    assert "log_weight" not in {f.name for f in dataclasses.fields(Trace)}
+    with pytest.raises(TypeError):
+        Trace(log_weight=1.0)
+
+
 def test_log_weight_minus_infinity_short_circuits():
     a = intern_address(("m",), "Normal", 0)
     t = Trace()
@@ -207,6 +228,13 @@ def test_write_then_iter_roundtrips(tmp_path):
     write_traces(path, traces)
     got = list(iter_traces(path))
     assert [t.trace_id for t in got] == [5, 6]
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "traces.jsonl"
+    line = trace_to_line(sample_trace())
+    path.write_text("\n" + line + "\n  \n\t\n" + line + "\n\n")
+    assert [t.trace_id for t in iter_traces(path)] == [5, 5]
 
 
 def test_malformed_line_reports_line_number(tmp_path):

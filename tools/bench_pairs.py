@@ -10,13 +10,16 @@ falls on both sides alike. The file holds every run's end-to-end metrics and,
 per metric, each side's median and quartiles and the number of pairs the
 change won; also the host's core count, the Python, numpy and scipy versions,
 the sha256 of each tree's golden outputs (tests/test_golden.py run as a
-script), and each tree's bytecode-cache state before and after its runs:
-rejection-cli setup_s includes compiling src/ when no cache exists.
+script), each tree's bytecode-cache state before and after its runs
+(rejection-cli setup_s includes compiling src/ when no cache exists), and
+each tree's src/ line count, the newlines of src/simppl/*.py as `wc -l`
+counts them.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -72,6 +75,15 @@ def run_once(tree, workload, seed, seconds):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def src_lines(tree):
+    """The newlines in tree's src/simppl/*.py: `wc -l`'s total."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "simppl", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def golden_sha(tree):
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     out = subprocess.run([sys.executable, "tests/test_golden.py"], cwd=tree, env=env,
@@ -102,6 +114,7 @@ def main(argv=None):
         "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                  "numpy": numpy.__version__, "scipy": scipy.__version__},
         "golden_sha256": {side: golden_sha(tree) for side, tree in trees.items()},
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "bytecode_cache": {side: {"before": bytecode_cache(tree, run_env())}
                            for side, tree in trees.items()},
         "pairs": args.pairs, "seconds": args.seconds, "workloads": {},
