@@ -578,11 +578,6 @@ def test_load_rejects_a_non_finite_array_naming_the_file_and_array(
     assert str(err.value) == f"{path}: {message}"
 
 
-def test_the_benchmark_network_loads():
-    net = load_net(os.path.join(INPUTS, "tau_net.json"))
-    assert net.arch.obs_dim == 196
-
-
 # ---------------------------------------------------------------------------
 # proposal adapter
 

@@ -1046,8 +1046,8 @@ def test_a_weight_is_computed_on_its_first_read_unless_set_and_survives_jsonl(
         set_weight = data.draw(st.none() | _FINITE_OR_MINUS_INF, label="set weight")
         if set_weight is not None:
             trace.log_weight = set_weight
-        for _, log_liks, _ in trace.observe_blocks[:data.draw(  # the weight read after k blocks
-                st.integers(0, len(trace.observe_blocks)), label="blocks read first")]:
+        read_first = data.draw(st.integers(0, len(trace.observe_blocks)), label="blocks read first")
+        for _, log_liks, _ in trace.observe_blocks[:read_first]:
             column_list(log_liks)
         weight = trace.log_weight
         computed = trace_log_weight(trace)
