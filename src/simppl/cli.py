@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 
 from . import net as net_mod
 from . import simzoo
@@ -125,11 +127,16 @@ def cmd_train(args):
     def on_step(step, loss):
         print(json.dumps({"step": step, "loss": loss}))
 
+    def write(save):  # strerror: the early check's exception names its temporary file
+        try:
+            save()
+        except OSError as exc:
+            raise SimpplError(f"cannot write network to {args.net_out}: {exc.strerror or exc}")
+
+    # before step 0, and leaving no file: an unnamed file shows the directory takes one
+    write(lambda: tempfile.TemporaryFile(dir=os.path.dirname(args.net_out) or ".").close())
     net = net_mod.train(spec, config, on_step=on_step)
-    try:
-        net_mod.save_net(net, args.net_out)
-    except OSError as exc:
-        raise SimpplError(f"cannot write network to {args.net_out}: {exc}") from exc
+    write(lambda: net_mod.save_net(net, args.net_out))
     print(json.dumps({"trained": args.model, "steps": args.steps, "net": args.net_out}))
     return 0
 

@@ -8,17 +8,17 @@ unconstrained proposal parameters consumed by proposal_from_params.
 
 Everything is plain float64 numpy with hand-written backpropagation; the
 analytic gradients are validated against central finite differences in the
-test suite. A training step is one batched pass grouped by trace type: the
-encoder runs once on the stacked observations, the trunk once on the
-(entries, trunk inputs) matrix, each head once on the rows of its address,
-and the family NLL gradients come vectorised from the per-family proposal
-table in distributions. Training is plain SGD with global-norm gradient
-clipping (at _GRAD_CLIP_NORM) on fresh Record-mode batches each step, so the
-simulator itself is the (infinite) training set. All randomness derives from
-the master seed: stream (0,) initializes parameters; runtime.run_batch with
-key (1,) runs the standardization and head-discovery simulations on streams
-(1, i), and with key (2, step) the training batch of each step on streams
-(2, step, i).
+test suite. A training step is one batched pass over rows, one per sample in
+(run, statement) order, read from traces or a vectorised model's chunks: the
+encoder runs once on the stacked observations, the trunk once on the (rows,
+trunk inputs) matrix, each head once on the rows of its address, and the
+family NLL gradients come vectorised from the per-family proposal table in
+distributions. Training is plain SGD with global-norm gradient clipping (at
+_GRAD_CLIP_NORM) on fresh Record-mode batches each step, so the simulator
+itself is the (infinite) training set. All randomness derives from the master
+seed: stream (0,) initializes parameters; record runs with key (1,) are the
+standardization and head-discovery simulations, with key (2, step) the
+training batch of each step.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     UnknownHead,
     VersionMismatch,
 )
-from .runtime import Mode, derived_seed, run_batch
+from .runtime import Mode, _run_chunks, derived_seed, run_batch
 
 NET_FORMAT_VERSION = 1
 
@@ -100,8 +100,9 @@ class NetParams:
             v *= factor
 
     def add_scaled(self, other, factor):
-        for k, v in self.arrays.items():
-            v += factor * other.arrays[k]
+        with np.errstate(over="ignore", invalid="ignore"):  # all_finite reports an overflow
+            for k, v in self.arrays.items():
+                v += factor * other.arrays[k]
 
     def all_finite(self):
         return all(np.isfinite(v).all() for v in self.arrays.values())
@@ -202,29 +203,58 @@ def _trace_obs_vector(trace):
     return np.concatenate([np.asarray(v, dtype=float) for v in values])
 
 
-def _loss_and_grad(net, batch, want_grad):
-    """Mean over traces of the summed proposal NLL, with optional gradients.
+def _rows(runs):
+    """The loss rows of runs given as (observation, [(address, value, prior params)]), one per
+    sample in (run, sample) order: (observations, rows, heads), a row being (run, previous value,
+    value, prior params, family) and heads mapping head keys, first seen first, to row indices."""
+    obs, rows, heads = [], [], {}
+    for i, (cells, samples) in enumerate(runs):
+        obs.append(cells)
+        prev = 0.0
+        for address, value, params in samples:
+            heads.setdefault(address.head_key, []).append(len(rows))
+            rows.append((i, prev, value, params, address.family_tag))
+            prev = float(value)
+    return obs, rows, heads
 
-    One batched pass (see the module docstring); each distinct prior is built,
-    and so validated, once. Overflow shows only as a non-finite loss or gradient.
-    """
+
+def _trace_rows(batch):
+    return _rows((_trace_obs_vector(t), [(e.address, e.value, e.params) for e in t.entries])
+                 for t in batch)
+
+
+def _chunk_rows(chunks):
+    return _rows((cells, [(a, v[i], prior.params) for a, prior, v in chunk.samples])
+                 for chunk in chunks
+                 for i, cells in enumerate(np.hstack([v for _, v, _, _ in chunk.observes])))
+
+
+def _record_rows(model, master_seed, n, *key):
+    """The rows of run_batch(model, RECORD, ...), read as the runs stream in: from the chunks
+    of a model carrying many. A chunk the body fails yields its scalar traces, then an error."""
+    if hasattr(model, "many"):
+        chunks = _run_chunks(model, Mode.RECORD, master_seed, n, *key)
+        return _chunk_rows(chunk for chunk in chunks if not isinstance(chunk, list))
+    return _trace_rows(run_batch(model, Mode.RECORD, master_seed, n, *key))
+
+
+def _loss_and_grad(net, batch, want_grad):
+    """Mean over a list of traces of the summed proposal NLL, with optional gradients."""
     if not batch:
         raise ValueError("batch must be non-empty")
+    return _loss_grad_rows(net, *_trace_rows(batch), want_grad)
+
+
+def _loss_grad_rows(net, obs_rows, rows, heads, want_grad):
+    """_loss_and_grad of a batch's _rows: one batched pass; each distinct prior is built, and so
+    validated, once. Overflow shows only as a non-finite loss or gradient."""
     arch, a = net.arch, net.params.arrays
-    obs_rows = [_trace_obs_vector(trace) for trace in batch]
     for obs in obs_rows:
         if obs.shape != (arch.obs_dim,):
             raise DimensionMismatch(f"trace observation has shape {obs.shape}, "
                                     f"expected ({arch.obs_dim},)")
-    rows, heads = [], {}  # rows: (trace, previous value, value, prior params, family)
-    for i, trace in enumerate(batch):
-        prev = 0.0
-        for entry in trace.entries:
-            heads.setdefault(entry.address.head_key, []).append(len(rows))
-            rows.append((i, prev, entry.value, entry.params, entry.address.family_tag))
-            prev = float(entry.value)
     trace_idx = [row[0] for row in rows]
-    e_dim, scale, total = arch.obs_embed_dim, 1.0 / len(batch), 0.0
+    e_dim, scale, total = arch.obs_embed_dim, 1.0 / len(obs_rows), 0.0
     grads = net.params.zeros_like().arrays
     with np.errstate(all="ignore"):
         obs = net.standardization.apply(np.stack(obs_rows))
@@ -303,19 +333,12 @@ def discover_architecture(model_spec, master_seed, n_sims=_N_STANDARDIZE):
     """
     if n_sims < 2:
         raise ConfigError("n_sims must be >= 2")
-    heads = {}
-    obs_rows = []
-    for trace in run_batch(model_spec.run, Mode.RECORD, master_seed, n_sims, 1):
-        obs_rows.append(_trace_obs_vector(trace))
-        if obs_rows[-1].size != obs_rows[0].size:
-            raise ConfigError(
-                "models with varying observation layout cannot be standardized"
-            )
-        for entry in trace.entries:
-            key = entry.address.head_key
-            if key not in heads:
-                prior = dists.from_params(entry.address.family_tag, entry.params)
-                heads[key] = HeadSpec(entry.address.family_tag, dists.proposal_param_dim(prior))
+    obs_rows, rows, heads = _record_rows(model_spec.run, master_seed, n_sims, 1)
+    if len({row.size for row in obs_rows}) > 1:
+        raise ConfigError("models with varying observation layout cannot be standardized")
+    for key, idx in heads.items():  # each head's first row
+        *_, params, family = rows[idx[0]]
+        heads[key] = HeadSpec(family, dists.proposal_param_dim(dists.from_params(family, params)))
     matrix = np.asarray(obs_rows)
     std = Standardization(
         mean=matrix.mean(axis=0),
@@ -338,9 +361,8 @@ def train(model_spec, config, arch=None, standardization=None, on_step=None):
     params = glorot_init(arch, derived_seed(config.master_seed, 0))
     net = ProposalNetwork(arch=arch, params=params, standardization=standardization)
     for step in range(config.steps):
-        batch = list(run_batch(model_spec.run, Mode.RECORD, config.master_seed, config.batch_size,
-                               2, step))
-        loss, grad = _loss_and_grad(net, batch, want_grad=True)
+        rows = _record_rows(model_spec.run, config.master_seed, config.batch_size, 2, step)
+        loss, grad = _loss_grad_rows(net, *rows, want_grad=True)
         if not math.isfinite(loss):
             raise NonFiniteLoss(step)
         norm = grad.global_norm()

@@ -21,9 +21,11 @@ run_model executes a model once. A guided trace's log_weight, the run's result,
 is set before it returns; an unconditioned trace's log_weight and its batched
 observe log-likelihoods are computed on their first read (the parameters are
 checked at the statement), so training, which reads neither, computes neither.
-run_batch yields n executions one at a time for inference, trace generation,
-architecture discovery and training, and alone picks the body: model.many, a
-vectorised body a model may carry, runs unconditioned ones a chunk at a time.
+run_batch yields n executions one at a time. A model may carry a vectorised
+body, model.many(chunk), that _run_chunks runs on up to _CHUNK unconditioned
+runs, each statement once for all of them (see _Chunk). Every run takes the
+same statements, and the chunk must match the scalar body bit for bit:
+run_batch builds traces from it, and training reads its columns instead.
 Latent draws use RNG stream 0 of the seed and synthetic observations stream 1
 (built on the first such draw), its spawn(2) children without advancing its
 spawn counter. Run i of a batch has the streams of derived_seed(master_seed,
@@ -158,9 +160,18 @@ class ExecutionContext:
         trace, weight and obs_rng state as observe(site_ids[i], Normal(mu[i], sigma[i]),
         values[i]) in order, with one draw for all sites when values is None. The trace
         holds the values as given, by reference, or as drawn; returns a new list."""
-        values, = observe_normal_batch([self], site_ids, np.asarray(mu, dtype=float)[None],
-                                       np.asarray(sigma, dtype=float)[None],
-                                       None if values is None else [values])
+        site_ids = tuple(site_ids)
+        mu, sigma = _normal_params(self._site_name, site_ids, np.asarray(mu, dtype=float)[None],
+                                   np.asarray(sigma, dtype=float)[None], 1, values)
+        if not site_ids:
+            return []
+        addrs = self.counters.extend_many(self._path, site_ids, "Normal")
+        self._last_address = addrs[-1]
+        if values is None:
+            self._check_unconditioned(addrs[0])
+            values = normal_cells([self.obs_rng], mu, sigma)[0]
+        self.trace.observe_blocks.append(
+            (addrs, _NormalLogLiks([np.array(values, dtype=float), mu[0], sigma[0]]), values))
         return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
     def _check_unconditioned(self, addr):
@@ -246,44 +257,34 @@ class FixedProposal:
         return entry(prior) if callable(entry) else entry
 
 
-def observe_normal_batch(ctxs, site_ids, mu, sigma, values=None):
-    """observe_normal_many(site_ids, mu[r], sigma[r], values[r]) in each context ctxs[r], all
-    values drawn when values is None; its one writer. One parameter check names the first
-    site at fault (or the last if none is) before any context changes; a context's block
-    computes its log-likelihoods on their first read. Returns each context's values as held."""
-    site_ids = tuple(site_ids)
+def _normal_params(site_name, site_ids, mu, sigma, runs, values=None):
+    """Checked (runs, cells) float copies of mu and sigma (blocks compute from them later); the
+    error names the first site at fault (the last if none is) as site_name(site_id)."""
     n = len(site_ids)
-    mu = np.array(mu, dtype=float)  # copies: a block computes from them after the caller's edits
-    sigma = np.array(sigma, dtype=float)
-    sizes = [a.shape[-1] if a.ndim and a.shape[:-1] == (len(ctxs),) else 0 for a in (mu, sigma)]
+    mu, sigma = np.array(mu, dtype=float), np.array(sigma, dtype=float)
+    sizes = [a.shape[-1] if a.ndim and a.shape[:-1] == (runs,) else 0 for a in (mu, sigma)]
     if values is not None:
-        sizes.extend(map(len, values))
+        sizes.append(len(values))
     if any(k != n for k in sizes):
-        at = ctxs[0]._site_name(site_ids[min(min(sizes), n - 1)]) if n else "no sites"
+        at = site_name(site_ids[min(min(sizes), n - 1)]) if n else "no sites"
         raise DimensionMismatch(
             f"observe_normal_many at {at}: {n} site ids, "
             f"lengths (mu, sigma{', values' if values is not None else ''}) = {sizes}"
         )
     bad = ~(np.isfinite(mu) & np.isfinite(sigma) & (sigma > 0))
     if bad.any():
-        r, i = divmod(k := int(bad.argmax()), n)
+        k = int(bad.argmax())
         raise ParameterError(
-            f"observe at {ctxs[r]._site_name(site_ids[i])}: need finite mu and positive "
+            f"observe at {site_name(site_ids[k % n])}: need finite mu and positive "
             f"finite sigma, got mu={float(mu.flat[k])!r}, sigma={float(sigma.flat[k])!r}"
         )
-    if not n:
-        return [[] for _ in ctxs]
-    addrs, drawn = [], []
-    for r, ctx in enumerate(ctxs):
-        addrs.append(ctx.counters.extend_many(ctx._path, site_ids, "Normal"))
-        ctx._last_address = addrs[-1][-1]
-        if values is None:
-            ctx._check_unconditioned(addrs[-1][0])
-            drawn.append(ctx.obs_rng.normal(mu[r], sigma[r]))
-    values = drawn if values is None else values
-    for ctx, a, v, *row in zip(ctxs, addrs, values, np.array(values, dtype=float), mu, sigma):
-        ctx.trace.observe_blocks.append((a, _NormalLogLiks(row), v))
-    return values
+    return mu, sigma
+
+
+def normal_cells(rngs, mu, sigma):
+    """Row i is rngs[i].normal(mu[i], sigma[i]) for (runs, cells) float mu and sigma, bit for
+    bit: mu[i] + sigma[i] * z with z = rngs[i].standard_normal(cells)."""
+    return mu + sigma * np.array([rng.standard_normal(mu.shape[1]) for rng in rngs])
 
 
 @dataclass(slots=True, eq=False)
@@ -379,35 +380,89 @@ def run_batch(model, mode, master_seed, n, *key, observation=None, proposal_sour
     """Yield n executions in order, one at a time: run i carries trace_id i and the streams of
     derived_seed(master_seed, *key, i), computed _CHUNK runs at a time without building it;
     master_seed, a non-negative int or a sequence of them, is checked at the first next().
-
-    model.many, a vectorised body over a list of contexts that a model may carry, runs prior
-    and record batches without an observation _CHUNK runs at a time, with the scalar body's
-    traces. A chunk it fails runs again through model: the run at fault raises its error,
-    or else the vectorised body's error follows."""
-    words = _seed_words(master_seed, key)  # run_batch is a generator: at the first next()
-    chunks = ([_RunSeed(w, (master_seed, key, i))
-               for i, w in enumerate(words(a, min(n, a + _CHUNK)), a)] for a in range(0, n, _CHUNK))
+    Unconditioned runs of a model carrying model.many go through _run_chunks."""
     if hasattr(model, "many") and observation is None and Mode(mode) is not Mode.GUIDED:
-        traces = _run_chunks(model, mode, chunks)
+        traces = (trace for chunk in _run_chunks(model, mode, master_seed, n, *key)
+                  for trace in chunk)
     else:
         traces = (run_model(model, mode, s, observation=observation,
-                            proposal_source=proposal_source) for chunk in chunks for s in chunk)
+                            proposal_source=proposal_source)
+                  for seeds in _seed_chunks(master_seed, n, key) for s in seeds)
     for i, trace in enumerate(traces):
         trace.trace_id = i
         yield trace
 
 
-def _run_chunks(model, mode, chunks):
-    for chunk in chunks:
-        ctxs = [ExecutionContext(mode, s) for s in chunk]
+def _seed_chunks(master_seed, n, key):
+    words = _seed_words(master_seed, key)
+    return ([_RunSeed(w, (master_seed, key, i))
+             for i, w in enumerate(words(a, min(n, a + _CHUNK)), a)] for a in range(0, n, _CHUNK))
+
+
+def _run_chunks(model, mode, master_seed, n, *key):
+    """Yield each _Chunk of n unconditioned runs on run_batch's seeds after model.many ran it. A
+    chunk the body fails runs again through model, each trace yielded in a list of one, until
+    the run at fault raises its error; or else the body's error follows."""
+    for seeds in _seed_chunks(master_seed, n, key):
+        chunk = _Chunk(seeds)
         try:
-            model.many(ctxs)
-            traces = [_finish(ctx) for ctx in ctxs]
+            model.many(chunk)
         except Exception:
-            for s in chunk:  # the scalar body raises the error of the run at fault, if any
-                yield run_model(model, mode, s)
+            for s in seeds:
+                yield [run_model(model, mode, s)]
             raise
-        yield from traces
+        yield chunk
+
+
+class _Chunk:
+    """Runs that a vectorised body executes one statement at a time for all, with one address
+    sequence and no scopes, run i on its own streams. Iterating builds each run's Trace; training
+    reads samples, (address, prior, values), and observes, (addresses, values, mu, sigma)."""
+
+    def __init__(self, seeds):
+        self.seeds, self.counters = seeds, AddressTable()
+        self.samples, self.observes, self.predicts = [], [], {}
+        self.rngs, self.obs_rngs = ([np.random.default_rng(_stream(s, k)) for s in seeds]
+                                    for k in (0, 1))
+
+    def __len__(self):
+        return len(self.seeds)
+
+    def sample(self, site_id, prior):
+        """The column of prior.sample(rng) on each run's stream 0, a tuple."""
+        addr = self.counters.extend((), site_id, prior.family)
+        values = tuple(prior.sample(rng) for rng in self.rngs)
+        self.samples.append((addr, prior, values))
+        return values
+
+    def observe_normal_many(self, site_ids, mu, sigma):
+        """observe_normal_many(site_ids, mu[i], sigma[i]) in run i, for (runs, cells) mu and
+        sigma checked once; returns the drawn (runs, cells) values, read-only."""
+        site_ids = tuple(site_ids)
+        mu, sigma = _normal_params(str, site_ids, mu, sigma, len(self))
+        values = normal_cells(self.obs_rngs, mu, sigma)
+        values.flags.writeable = False
+        if site_ids:
+            self.observes.append((self.counters.extend_many((), site_ids, "Normal"),
+                                  values, mu, sigma))
+        return values
+
+    def predict(self, name, column):
+        """Run i predicts column[i]."""
+        if name in self.predicts:
+            raise DuplicatePredictName(f"predict {name!r} already set")
+        if len(column) != len(self):
+            raise DimensionMismatch(f"predict {name!r}: {len(column)} values for {len(self)} runs")
+        self.predicts[name] = column
+
+    def __iter__(self):
+        for i in range(len(self)):
+            trace = Trace([TraceEntry(a, prior.params, v[i], lp, lp) for a, prior, v in self.samples
+                           for lp in (prior.log_prob(v[i]),)],
+                          {name: column[i] for name, column in self.predicts.items()})
+            trace.observe_blocks += [(a, _NormalLogLiks([v[i], mu[i], sigma[i]]), v[i])
+                                     for a, v, mu, sigma in self.observes]
+            yield trace
 
 
 def run_model(model, mode, seed, observation=None, proposal_source=None):
@@ -425,11 +480,6 @@ def run_model(model, mode, seed, observation=None, proposal_source=None):
         raise
     except Exception as exc:
         raise ModelExecutionError(ctx._last_address, exc) from exc
-    return _finish(ctx)
-
-
-def _finish(ctx):
-    """The context's trace, its log_weight set if guided; ScopeError for an open scope."""
     if ctx._scopes:
         open_ids = ", ".join(s.scope_id for s in ctx._scopes)
         raise ScopeError(f"model exited with open scope(s): {open_ids}")

@@ -9,7 +9,7 @@ MODEL_NAMES all read:
   tau_decay_toy           decay-channel + momentum inference from a small
                           segmented-calorimeter image; its spec.run carries the
                           vectorised body as spec.run.many, which only
-                          runtime.run_batch picks; image and oracle load scipy on first use
+                          runtime._run_chunks runs; image and oracle load scipy on first use
 
 Each oracle is an independent route to the posterior (analytic form, dense
 grid quadrature, or channel enumeration plus 3-D quadrature) used to validate
@@ -28,7 +28,7 @@ import numpy as np
 
 from .distributions import Categorical, Exponential, Normal, Uniform, scipy_special
 from .errors import ConfigInvalid, UnsupportedModel
-from .runtime import Mode, observe_normal_batch, run_model
+from .runtime import Mode, run_model
 from .trace import column_list
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -211,12 +211,10 @@ def _tau_priors(cfg):
             "theta": Uniform(0.0, cfg.theta_max), "phi": Uniform(-math.pi, math.pi)}
 
 
-def _tau_predict(ctx, channel, pmag, theta, phi):
+def _tau_predicts(channel, pmag, theta, phi):
     sin_t = math.sin(theta)
-    ctx.predict("channel", int(channel))
-    ctx.predict("p_x", pmag * sin_t * math.cos(phi))
-    ctx.predict("p_y", pmag * sin_t * math.sin(phi))
-    ctx.predict("p_z", pmag * math.cos(theta))
+    return {"channel": int(channel), "p_x": pmag * sin_t * math.cos(phi),
+            "p_y": pmag * sin_t * math.sin(phi), "p_z": pmag * math.cos(theta)}
 
 
 def tau_decay_toy(ctx, cfg=DEFAULT_TAU_CONFIG):
@@ -224,19 +222,20 @@ def tau_decay_toy(ctx, cfg=DEFAULT_TAU_CONFIG):
     expected = deposit_image(cfg, [latents]).ravel()
     sigmas = cfg.noise_sigma * np.maximum(expected, ENERGY_FLOOR)
     ctx.observe_normal_many(_cell_site_ids(cfg.grid), expected, sigmas, ctx.observed("cells"))
-    _tau_predict(ctx, *latents)
+    for name, value in _tau_predicts(*latents).items():
+        ctx.predict(name, value)
 
 
-def tau_decay_toy_many(ctxs, cfg=DEFAULT_TAU_CONFIG):
-    """tau_decay_toy in each of a list of unconditioned contexts, bit for bit: each draws
-    from its own streams; the images, checks and likelihoods are one numpy pass."""
-    priors = _tau_priors(cfg).items()
-    latents = [[ctx.sample(site, prior) for site, prior in priors] for ctx in ctxs]
-    expected = deposit_image(cfg, latents).reshape(len(ctxs), -1)
+def tau_decay_toy_many(chunk, cfg=DEFAULT_TAU_CONFIG):
+    """tau_decay_toy over a runtime chunk of unconditioned runs, bit for bit: each statement
+    runs once for the chunk, and the images and likelihood parameters are one numpy pass."""
+    latents = [chunk.sample(site, prior) for site, prior in _tau_priors(cfg).items()]
+    expected = deposit_image(cfg, list(zip(*latents))).reshape(len(chunk), -1)
     sigmas = cfg.noise_sigma * np.maximum(expected, ENERGY_FLOOR)
-    observe_normal_batch(ctxs, _cell_site_ids(cfg.grid), expected, sigmas)
-    for ctx, row in zip(ctxs, latents):
-        _tau_predict(ctx, *row)
+    chunk.observe_normal_many(_cell_site_ids(cfg.grid), expected, sigmas)
+    runs = [_tau_predicts(*run) for run in zip(*latents)]
+    for name in runs[0]:
+        chunk.predict(name, [run[name] for run in runs])
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,7 @@ def _tau_spec(name, body, config):
         }
 
     run = functools.partial(body, cfg=cfg)
-    run.many = functools.partial(tau_decay_toy_many, cfg=cfg)  # the body run_batch finds
+    run.many = functools.partial(tau_decay_toy_many, cfg=cfg)  # the body _run_chunks finds
     return ModelSpec(name, run, _obs_converter(name, "cells", math.prod(cfg.grid)),
                      observation_from_values, config=cfg)
 

@@ -113,3 +113,47 @@ def test_the_report_holds_each_trees_bytecode_cache_before_and_after_its_runs(tm
         "change": {"before": state[False], "after": state[True]},
     }
     assert report["src_lines"] == {"parent": 4, "change": 1}
+    assert report["complete"] is True and "failed" not in report
+
+
+# counts its calls in a file beside it and fails on the second
+_STUB_RUN = """
+import json, os, sys
+calls = os.path.join(os.path.dirname(os.path.abspath(__file__)), "calls")
+n = int(open(calls).read()) if os.path.exists(calls) else 0
+open(calls, "w").write(str(n + 1))
+if n == 1:
+    sys.stderr.write("".join(f"line {i}\\n" for i in range(30)))
+    sys.exit(3)
+print("a progress line")
+print(json.dumps({"metrics": {"setup_s": {"value": 0.5 + n}}}))
+"""
+
+
+def test_a_failing_run_stops_the_tool_and_keeps_the_finished_runs(tmp_path, monkeypatch,
+                                                                  capsys):
+    bench_pairs = _bench_pairs()
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for side, tree in trees.items():
+        (tree / "benchmark").mkdir(parents=True)
+        (tree / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": [{"name": "setup_s", "better": "lower"}]}))
+        (tree / "benchmark" / "run.py").write_text(
+            _STUB_RUN if side == "change" else _STUB_RUN.replace("n == 1", "False"))
+    monkeypatch.setattr(bench_pairs, "golden_sha", lambda tree: "sha")
+    out = tmp_path / "bench.json"
+    # pair 0 runs the parent, then the change; pair 1 the change first, whose second call fails
+    assert bench_pairs.main(["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+                             "--pairs", "3", "--seed-base", "7", "--workloads", "tau-train",
+                             "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["complete"] is False
+    assert report["failed"] == {"workload": "tau-train", "side": "change", "seed": 8,
+                                "exit_code": 3,
+                                "stderr": [f"line {i}" for i in range(10, 30)]}
+    runs = report["workloads"]["tau-train"]["runs"]
+    assert [(r["seed"], r["first"], r["metrics"]) for r in runs["parent"]] == [
+        (7, True, {"setup_s": {"value": 0.5}})]
+    assert [(r["seed"], r["first"]) for r in runs["change"]] == [(7, False)]
+    assert "metrics" not in report["workloads"]["tau-train"]
+    assert "tau-train change seed 8 exited 3" in capsys.readouterr().err

@@ -128,6 +128,36 @@ def test_train_rejects_a_learning_rate_not_positive_and_finite(tmp_path, capsys,
     assert not net_path.exists()
 
 
+def test_train_whose_update_overflows_prints_only_the_error_line(tmp_path):
+    # a subprocess, so numpy's RuntimeWarning would reach stderr rather than raise
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "simppl.cli", "train", "--model", "gaussian_unknown_mean",
+         "--steps", "3", "--seed", "3", "--batch-size", "4", "--lr", "1e308",
+         "--net-out", str(tmp_path / "g.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: step 0: parameters became non-finite\n"
+    assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize("where", ["missing", "file"])
+def test_train_checks_the_network_directory_before_step_0(tmp_path, capsys, where):
+    parent = tmp_path / "no" / "such"
+    if where == "file":  # the directory named is a file
+        parent = tmp_path / "plain"
+        parent.write_text("")
+    net_path = parent / "x.json"
+    rc = cli.main(["train", "--model", "gaussian_unknown_mean", "--steps", "1", "--seed", "1",
+                   "--net-out", str(net_path)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""  # no step line
+    assert err.startswith(f"error: cannot write network to {net_path}: ")
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ([] if where == "missing" else ["plain"])
+
+
 # ---------------------------------------------------------------------------
 # infer
 

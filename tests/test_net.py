@@ -464,9 +464,9 @@ def test_divergent_learning_rate_raises_nonfinite():
         train(GAUSSIAN, cfg)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_an_update_that_overflows_the_parameters_raises_nonfinite():
-    # the loss and the clipped gradient of step 0 are finite; lr times the gradient is not
+    # the loss and the clipped gradient of step 0 are finite; lr times the gradient is not,
+    # and the update overflows without a RuntimeWarning (pytest makes one an error)
     cfg = TrainingConfig(steps=3, master_seed=3, batch_size=4, learning_rate=1e308)
     with pytest.raises(NonFiniteLoss, match="step 0: parameters became non-finite"):
         train(GAUSSIAN, cfg)

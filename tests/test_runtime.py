@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -482,17 +483,13 @@ finite = st.floats(-1e3, 1e3)
 
 def _observe_block(how, pre, sites, mu, sigma, values):
     """Body observing `pre` with scalar observes, then `sites` in one batched
-    statement ("many"), in a one-context observe_normal_batch ("batch") or in
-    the equivalent loop of scalar observes ("loop")."""
+    statement ("many") or in the equivalent loop of scalar observes ("loop")."""
 
     def body(ctx):
         for s in pre:
             ctx.observe(s, Normal(0.5, 2.0), None if values is None else 1.25)
         if how == "many":
             ctx.observe_normal_many(sites, np.array(mu), np.array(sigma), values)
-        elif how == "batch":
-            runtime.observe_normal_batch([ctx], sites, np.array([mu]), np.array([sigma]),
-                                         None if values is None else [values])
         else:
             for i, s in enumerate(sites):
                 ctx.observe(s, Normal(mu[i], sigma[i]), None if values is None else values[i])
@@ -536,27 +533,20 @@ def test_observe_normal_many_matches_scalar_loop(mode, seed, sites, pre, retries
                 body(ctx)
         return ctx
 
-    want, got, one = run("loop"), run("many"), run("batch")
+    want, got = run("loop"), run("many")
     rows = [[(o.address.rendered, _bits(o.log_likelihood), type(o.value), _bits(o.value))
              for o in ctx.trace.observes] for ctx in (want, got)]
     assert rows[1] == rows[0]
     assert _bits(trace_log_weight(got.trace)) == _bits(trace_log_weight(want.trace))
     assert got.counters.snapshot() == want.counters.snapshot()
     assert got._last_address == want._last_address
-    # observe_normal_many is a one-context observe_normal_batch: same blocks, counters,
-    # last address and observation stream
-    assert _exact(one.trace)[1] == _exact(got.trace)[1]
-    assert one.counters.snapshot() == got.counters.snapshot()
-    assert one._last_address == got._last_address
-    assert one.obs_rng.bit_generator.state == got.obs_rng.bit_generator.state
     assert got.obs_rng.random() == want.obs_rng.random()
     if values is not None:
         # guided blocks hold the observation's own list, ints as well as floats
-        for ctx in (got, one):
-            assert not n or ctx.trace.observe_blocks[-1][2] is values
-            batch = ctx.trace.observes[-n:] if n else []
-            for o, v in zip(batch, values):
-                assert o.value is v
+        assert not n or got.trace.observe_blocks[-1][2] is values
+        batch = got.trace.observes[-n:] if n else []
+        for o, v in zip(batch, values):
+            assert o.value is v
 
 
 BAD_PARAMS = {
@@ -585,6 +575,11 @@ def test_observe_normal_many_names_first_bad_parameter(n, data, faults):
     ctx = ExecutionContext(Mode.PRIOR, 1)
     with pytest.raises(ParameterError, match=f" at s{min(at)}:"):
         ctx.observe_normal_many(sites, params["mu"], params["sigma"])
+    # a chunk checks its (runs, cells) parameters once, naming the same site
+    chunk = runtime._Chunk([np.random.SeedSequence(1)] * 2)
+    with pytest.raises(ParameterError, match=f" at s{min(at)}:"):
+        chunk.observe_normal_many(sites, [[0.0] * n, params["mu"]], [[1.0] * n, params["sigma"]])
+    assert chunk.observes == []
     # the loop of scalar observes fails at the same site
     with pytest.raises(ParameterError):
         Normal(params["mu"][min(at)], params["sigma"][min(at)])
@@ -600,6 +595,26 @@ def test_observe_normal_many_length_mismatch(mu_len, sigma_len, values_len, name
     with pytest.raises(DimensionMismatch, match=f" at {named}:"):
         ctx.observe_normal_many(["s0", "s1", "s2"], [0.0] * mu_len, [1.0] * sigma_len, values)
     assert ctx.trace.observes == []
+    if values is None:  # a chunk takes no values; its rows are runs
+        chunk = runtime._Chunk([np.random.SeedSequence(1)] * 2)
+        with pytest.raises(DimensionMismatch, match=f" at {named}:"):
+            chunk.observe_normal_many(["s0", "s1", "s2"], [[0.0] * mu_len] * 2,
+                                      [[1.0] * sigma_len] * 2)
+        assert chunk.observes == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    mu=st.lists(st.floats(-1e6, 1e6), max_size=300),
+    data=st.data(),
+)
+def test_normal_cells_are_generator_normal_bit_for_bit(seed, mu, data):
+    sigma = data.draw(st.lists(st.floats(1e-6, 1e6), min_size=len(mu), max_size=len(mu)))
+    mu, sigma = np.array(mu), np.array(sigma)
+    want = np.random.default_rng(seed).normal(mu, sigma)
+    got = runtime.normal_cells([np.random.default_rng(seed)], mu[None], sigma[None])
+    assert got.shape == (1, len(mu)) and got[0].tobytes() == want.tobytes()
 
 
 def test_observe_normal_many_guided_requires_values():
@@ -831,6 +846,30 @@ def test_vectorised_tau_batches_equal_the_scalar_runs(master_seed, key, n, mode,
     assert got == want
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    master_seed=st.integers(0, 2**63),
+    n=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 2]),
+    steps=st.integers(0, 3),
+    config=st.sampled_from([None, ALT_TAU]),
+)
+def test_training_from_chunk_columns_equals_training_from_scalar_traces(master_seed, n, steps,
+                                                                         config):
+    spec = simzoo.get_model("tau_decay_toy", config)
+    scalar = dataclasses.replace(spec, run=_scalar(spec.run))
+
+    def trained(spec):
+        arch, std = net.discover_architecture(spec, master_seed, n_sims=max(n, 2))
+        losses = []
+        cfg = net.TrainingConfig(steps=steps, master_seed=master_seed, batch_size=n,
+                                 learning_rate=3e-2)
+        out = net.train(spec, cfg, arch, std, on_step=lambda step, loss: losses.append(loss))
+        return (arch, std.mean.tobytes(), std.std.tobytes(), losses,
+                {k: v.tobytes() for k, v in out.params.arrays.items()})
+
+    assert trained(spec) == trained(scalar)
+
+
 def _capped_uniform(ctx):
     x = ctx.sample("x", Uniform(0.0, 1.0))
     if x > 0.99:
@@ -838,17 +877,15 @@ def _capped_uniform(ctx):
     ctx.predict("x", x)
 
 
-def _capped_uniform_many(ctxs):
-    xs = [ctx.sample("x", Uniform(0.0, 1.0)) for ctx in ctxs]
+def _capped_uniform_many(chunk):
+    xs = chunk.sample("x", Uniform(0.0, 1.0))
     if max(xs) > 0.99:
         raise ValueError("an x is too large")
-    for ctx, x in zip(ctxs, xs):
-        ctx.predict("x", x)
+    chunk.predict("x", xs)
 
 
-def _failing_many(ctxs):
-    for ctx in ctxs:
-        ctx.sample("x", Uniform(0.0, 1.0))
+def _failing_many(chunk):
+    chunk.sample("x", Uniform(0.0, 1.0))
     raise RuntimeError("vectorised body failed")
 
 
@@ -889,14 +926,14 @@ def test_a_vectorised_body_failing_where_the_scalar_one_succeeds_raises_its_own_
 def test_a_failed_chunk_runs_again_on_the_same_seeds_without_building_them(monkeypatch):
     def model(ctx):
         ctx.predict("x", ctx.sample("x", Uniform(0.0, 1.0)))
-        ctx.observe("y", Normal(0.0, 1.0))
+        ctx.observe_normal_many(["y"], [0.0], [1.0])
 
     chunks = []
 
-    def second_chunk_fails(ctxs):
-        chunks.append(len(ctxs))
-        for ctx in ctxs:
-            model(ctx)
+    def second_chunk_fails(chunk):
+        chunks.append(len(chunk))
+        chunk.predict("x", chunk.sample("x", Uniform(0.0, 1.0)))
+        chunk.observe_normal_many(["y"], [[0.0]] * len(chunk), [[1.0]] * len(chunk))
         if len(chunks) == 2:
             raise RuntimeError("vectorised body failed")
 
@@ -914,28 +951,38 @@ def test_a_failed_chunk_runs_again_on_the_same_seeds_without_building_them(monke
     assert built == [(9, 2)]  # the one check of the master seed
 
 
-def test_a_vectorised_body_leaving_a_scope_open_raises_scope_error():
+def test_training_on_a_failing_vectorised_body_raises_the_scalar_error():
+    spec = simzoo.get_model("tau_decay_toy")
+    arch, std = net.discover_architecture(spec, 1, n_sims=8)
+    cfg = net.TrainingConfig(steps=2, master_seed=1, batch_size=8)
+
     def model(ctx):
-        with ctx.rejection_scope("s"):
-            ctx.sample("x", Uniform(0.0, 1.0))
+        spec.run(ctx)
+        if ctx.trace.predicts["channel"] == 1:
+            raise ValueError("channel 1")
 
-    def many(ctxs):
-        for ctx in ctxs:
-            ctx.scope_begin("s")
-            ctx.sample("x", Uniform(0.0, 1.0))
+    def many(chunk):
+        spec.run.many(chunk)
+        if 1 in chunk.predicts["channel"]:
+            raise ValueError("a channel 1")
 
-    assert len(list(run_batch(model, Mode.PRIOR, 1, 3))) == 3
-    with pytest.raises(ScopeError, match=r"model exited with open scope\(s\): s"):
-        list(run_batch(_with_many(model, many), Mode.PRIOR, 1, 3))
+    with pytest.raises(ModelExecutionError) as want:
+        net.train(dataclasses.replace(spec, run=model), cfg, arch, std)
+    with pytest.raises(ModelExecutionError) as got:
+        net.train(dataclasses.replace(spec, run=_with_many(model, many)), cfg, arch, std)
+    assert str(got.value) == str(want.value) and "channel 1" in str(got.value)
+    with pytest.raises(RuntimeError, match="vectorised body failed"):
+        net.train(dataclasses.replace(spec, run=_with_many(spec.run, _failing_many)), cfg, arch,
+                  std)
 
 
 def test_the_first_trace_of_a_long_batch_runs_one_chunk():
     spec = simzoo.get_model("tau_decay_toy")
     sizes = []
 
-    def counted(ctxs):
-        sizes.append(len(ctxs))
-        spec.run.many(ctxs)
+    def counted(chunk):
+        sizes.append(len(chunk))
+        spec.run.many(chunk)
 
     first = next(run_batch(_with_many(spec.run, counted), Mode.PRIOR, 1, 10**6))
     assert sizes == [CHUNK]
@@ -1064,10 +1111,10 @@ def test_a_nan_mu_in_a_record_batch_raises_parameter_error_at_its_observe():
         ctx.observe_normal_many(["a", "b"], [0.0, math.nan if x > 0.9 else x], [1.0, 1.0])
         reached.append(x)
 
-    def many(ctxs):
-        xs = [ctx.sample("x", Uniform(0.0, 1.0)) for ctx in ctxs]
-        runtime.observe_normal_batch(ctxs, ["a", "b"], [[0.0, math.nan if x > 0.9 else x]
-                                                        for x in xs], [[1.0, 1.0]] * len(ctxs))
+    def many(chunk):
+        xs = chunk.sample("x", Uniform(0.0, 1.0))
+        chunk.observe_normal_many(["a", "b"], [[0.0, math.nan if x > 0.9 else x] for x in xs],
+                                  [[1.0, 1.0]] * len(chunk))
         reached.extend(xs)
 
     for body in (model, _with_many(model, many)):

@@ -14,6 +14,11 @@ script), each tree's bytecode-cache state before and after its runs
 (rejection-cli setup_s includes compiling src/ when no cache exists), and
 each tree's src/ line count, the newlines of src/simppl/*.py as `wc -l`
 counts them.
+
+The file is rewritten after every run with "complete": false until the last
+run. A failing run stops the tool with exit code 1; the file then keeps the
+runs finished so far and names the failed run's workload, side and seed, its
+exit code and the last lines of its stderr.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ import subprocess
 import sys
 
 WORKLOADS = ("tau-infer", "tau-train", "rejection-cli")
+STDERR_LINES = 20  # of a failed run, kept in the file
+
+
+class RunFailed(Exception):
+    """A benchmark run that exited non-zero: (exit code, its stderr's last lines)."""
 
 
 def summarize(parent, change, better):
@@ -63,15 +73,14 @@ def bytecode_cache(tree, env):
 
 
 def run_once(tree, workload, seed, seconds):
-    """The result line of one `benchmark/run.py --trace 0` run in tree."""
+    """The result line of one `benchmark/run.py --trace 0` run in tree, or RunFailed."""
     env = run_env()
     proc = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, env=env, capture_output=True, text=True, check=False)
     if proc.returncode:
-        raise RuntimeError(f"{tree}: {workload} seed {seed} exited {proc.returncode}: "
-                           f"{proc.stderr.strip()}")
+        raise RunFailed(proc.returncode, proc.stderr.strip().splitlines()[-STDERR_LINES:])
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -117,29 +126,40 @@ def main(argv=None):
         "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "bytecode_cache": {side: {"before": bytecode_cache(tree, run_env())}
                            for side, tree in trees.items()},
-        "pairs": args.pairs, "seconds": args.seconds, "workloads": {},
+        "pairs": args.pairs, "seconds": args.seconds, "complete": False, "workloads": {},
     }
+
+    def write():
+        with open(args.out, "w") as fh:
+            json.dump(report, fh, indent=1)
+            fh.write("\n")
+
     for workload in args.workloads:
         runs = {"parent": [], "change": []}
+        report["workloads"][workload] = {"runs": runs}
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(trees[side], workload, args.seed_base + k, args.seconds)
-                runs[side].append({"seed": args.seed_base + k, "first": side == order[0],
-                                   **result})
+                seed = args.seed_base + k
+                try:
+                    result = run_once(trees[side], workload, seed, args.seconds)
+                except RunFailed as exc:
+                    report["failed"] = {"workload": workload, "side": side, "seed": seed,
+                                        "exit_code": exc.args[0], "stderr": exc.args[1]}
+                    write()
+                    print(f"{workload} {side} seed {seed} exited {exc.args[0]}", file=sys.stderr)
+                    return 1
+                runs[side].append({"seed": seed, "first": side == order[0], **result})
                 print(workload, k, side, json.dumps(result["metrics"]), flush=True)
-        report["workloads"][workload] = {
-            "runs": runs,
-            "metrics": {name: summarize([r["metrics"][name]["value"] for r in runs["parent"]],
-                                        [r["metrics"][name]["value"] for r in runs["change"]],
-                                        direction)
-                        for name, direction in better.items()},
-        }
+                write()
+        report["workloads"][workload]["metrics"] = {
+            name: summarize([r["metrics"][name]["value"] for r in runs["parent"]],
+                            [r["metrics"][name]["value"] for r in runs["change"]], direction)
+            for name, direction in better.items()}
     for side, tree in trees.items():
         report["bytecode_cache"][side]["after"] = bytecode_cache(tree, run_env())
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
+    report["complete"] = True
+    write()
     return 0
 
 
