@@ -93,14 +93,15 @@ class NetParams:
         return NetParams({k: np.zeros_like(v) for k, v in self.arrays.items()})
 
     def global_norm(self):
-        return math.sqrt(sum(float(np.square(v).sum()) for v in self.arrays.values()))
+        with np.errstate(over="ignore"):  # an overflow reads inf, which train reports
+            return math.sqrt(sum(float(np.square(v).sum()) for v in self.arrays.values()))
 
     def scale(self, factor):
         for v in self.arrays.values():
             v *= factor
 
     def add_scaled(self, other, factor):
-        with np.errstate(over="ignore", invalid="ignore"):  # all_finite reports an overflow
+        with np.errstate(over="ignore", invalid="ignore"):  # as in global_norm
             for k, v in self.arrays.items():
                 v += factor * other.arrays[k]
 

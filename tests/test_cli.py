@@ -128,16 +128,21 @@ def test_train_rejects_a_learning_rate_not_positive_and_finite(tmp_path, capsys,
     assert not net_path.exists()
 
 
-def test_train_whose_update_overflows_prints_only_the_error_line(tmp_path):
+@pytest.mark.parametrize("steps, seed, batch, lr, error", [
+    ("3", "3", "4", "1e308", "step 0: parameters became non-finite"),  # the update overflows
+    ("2", "2", "1", "1.4939228887783732e+64", "step 1: gradient is not finite"),  # its norm
+])
+def test_train_whose_update_overflows_prints_only_the_error_line(tmp_path, steps, seed, batch,
+                                                                 lr, error):
     # a subprocess, so numpy's RuntimeWarning would reach stderr rather than raise
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
         [sys.executable, "-m", "simppl.cli", "train", "--model", "gaussian_unknown_mean",
-         "--steps", "3", "--seed", "3", "--batch-size", "4", "--lr", "1e308",
+         "--steps", steps, "--seed", seed, "--batch-size", batch, "--lr", lr,
          "--net-out", str(tmp_path / "g.json")],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 1
-    assert proc.stderr == "error: step 0: parameters became non-finite\n"
+    assert proc.stderr == f"error: {error}\n"
     assert not (tmp_path / "g.json").exists()
 
 
