@@ -7,18 +7,18 @@ to a hidden state read out by one linear head per address. Heads emit the
 unconstrained proposal parameters consumed by proposal_from_params.
 
 Everything is plain float64 numpy with hand-written backpropagation; the
-analytic gradients are validated against central finite differences in the
-test suite. A training step is one batched pass over rows, one per sample in
-(run, statement) order, read from traces or a vectorised model's chunks: the
-encoder runs once on the stacked observations, the trunk once on the (rows,
-trunk inputs) matrix, each head once on the rows of its address, and the
-family NLL gradients come vectorised from the per-family proposal table in
-distributions. Training is plain SGD with global-norm gradient clipping (at
-_GRAD_CLIP_NORM) on fresh Record-mode batches each step, so the simulator
-itself is the (infinite) training set. All randomness derives from the master
-seed: stream (0,) initializes parameters; record runs with key (1,) are the
-standardization and head-discovery simulations, with key (2, step) the
-training batch of each step.
+analytic gradients are validated against central finite differences in the test
+suite. A training step is one batched pass over rows, one per sample in (run,
+statement) order, held as columns (run, previous value, value; per head its rows
+and prior parameters) that a model's chunk gives straight from its (runs,
+statements) values: the encoder runs once on the stacked observations, the trunk
+once on the (rows, trunk inputs) matrix, each head once on its rows, and the
+family NLL gradients come from the proposal table in distributions. Training is
+plain SGD with global-norm gradient clipping (at _GRAD_CLIP_NORM) on fresh
+Record-mode batches each step, so the simulator itself is the (infinite)
+training set. All randomness derives from the master seed: stream (0,)
+initializes parameters; record runs with key (1,) are the standardization and
+head-discovery simulations, with key (2, step) the training batch of each step.
 """
 
 from __future__ import annotations
@@ -204,30 +204,43 @@ def _trace_obs_vector(trace):
     return np.concatenate([np.asarray(v, dtype=float) for v in values])
 
 
-def _rows(runs):
-    """The loss rows of runs given as (observation, [(address, value, prior params)]), one per
-    sample in (run, sample) order: (observations, rows, heads), a row being (run, previous value,
-    value, prior params, family) and heads mapping head keys, first seen first, to row indices."""
-    obs, rows, heads = [], [], {}
-    for i, (cells, samples) in enumerate(runs):
+def _rows(groups):
+    """The loss rows of groups of runs, each (observations (runs, cells), [(address, prior params,
+    value column)] of the statements all its runs took), one per sample in (run, statement)
+    order: (observations, a matrix or, if their layouts vary, a list, then run, prev and value,
+    each row's run index, previous value (0.0 first) and value, and heads, mapping head keys,
+    first seen first, to (family, rows, distinct prior params, which of them each row has)).
+    In a group, statement k's rows start at row k, a statement apart."""
+    obs, sizes, value, heads, n_rows = [], [], [], {}, 0
+    for cells, samples in groups:
+        n, width = len(cells), len(samples)
         obs.append(cells)
-        prev = 0.0
-        for address, value, params in samples:
-            heads.setdefault(address.head_key, []).append(len(rows))
-            rows.append((i, prev, value, params, address.family_tag))
-            prev = float(value)
-    return obs, rows, heads
+        sizes += [width] * n
+        value.append(np.array([v for *_, v in samples], dtype=float).reshape(width, n).T.ravel())
+        for k, (addr, params, _) in enumerate(samples):
+            _, rows, priors, which = heads.setdefault(addr.head_key, (addr.family_tag, [], {}, []))
+            rows.append(np.arange(n_rows + k, n_rows + n * width, width))
+            which.append(np.full(n, priors.setdefault(tuple(params), len(priors))))
+        n_rows += n * width
+    for key, (family, rows, priors, which) in heads.items():  # a head's rows in row order
+        rows, which = np.concatenate(rows), np.concatenate(which)
+        order = rows.argsort(kind="stable")
+        heads[key] = family, rows[order], list(priors), which[order]
+    run, value = np.repeat(np.arange(len(sizes)), sizes), np.concatenate(value)
+    prev = np.zeros_like(value)
+    prev[1:] = np.where(run[1:] == run[:-1], value[:-1], 0.0)
+    obs = [r for c in obs for r in c] if len({c.shape[1] for c in obs}) > 1 else np.vstack(obs)
+    return obs, run, prev, value, heads
 
 
 def _trace_rows(batch):
-    return _rows((_trace_obs_vector(t), [(e.address, e.value, e.params) for e in t.entries])
+    return _rows((_trace_obs_vector(t)[None], [(e.address, e.params, [e.value]) for e in t.entries])
                  for t in batch)
 
 
 def _chunk_rows(chunks):
-    return _rows((cells, [(a, v[i], prior.params) for a, prior, v in chunk.samples])
-                 for chunk in chunks
-                 for i, cells in enumerate(np.hstack([v for _, v, _, _ in chunk.observes])))
+    return _rows((np.hstack([v for _, v, _, _ in chunk.observes]),
+                  [(a, prior.params, v) for a, prior, v in chunk.samples]) for chunk in chunks)
 
 
 def _record_rows(model, master_seed, n, *key):
@@ -246,39 +259,34 @@ def _loss_and_grad(net, batch, want_grad):
     return _loss_grad_rows(net, *_trace_rows(batch), want_grad)
 
 
-def _loss_grad_rows(net, obs_rows, rows, heads, want_grad):
-    """_loss_and_grad of a batch's _rows: one batched pass; each distinct prior is built, and so
-    validated, once. Overflow shows only as a non-finite loss or gradient."""
+def _loss_grad_rows(net, obs_rows, run, prev, value, heads, want_grad):
+    """_loss_and_grad of a batch's _rows columns, each head's rows gathered by index; each distinct
+    prior is built, and so validated, once. Overflow shows only as a non-finite loss or gradient."""
     arch, a = net.arch, net.params.arrays
-    for obs in obs_rows:
-        if obs.shape != (arch.obs_dim,):
-            raise DimensionMismatch(f"trace observation has shape {obs.shape}, "
-                                    f"expected ({arch.obs_dim},)")
-    trace_idx = [row[0] for row in rows]
-    e_dim, scale, total = arch.obs_embed_dim, 1.0 / len(obs_rows), 0.0
-    grads = net.params.zeros_like().arrays
+    bad = [obs.shape for obs in obs_rows if obs.shape != (arch.obs_dim,)]
+    if bad:
+        raise DimensionMismatch(f"trace observation has shape {bad[0]}, expected ({arch.obs_dim},)")
+    e_dim, scale, total, grads = arch.obs_embed_dim, 1.0 / len(obs_rows), 0.0, {}
     with np.errstate(all="ignore"):
-        obs = net.standardization.apply(np.stack(obs_rows))
+        obs = net.standardization.apply(np.asarray(obs_rows))
         h_obs = np.tanh(obs @ a["obs_W"].T + a["obs_b"])
-        x = np.empty((len(rows), arch.trunk_in_dim))
-        x[:, :e_dim] = h_obs[trace_idx]
-        x[:, -1] = _squash(np.array([row[1] for row in rows]))
-        for key, idx in heads.items():
+        x = np.empty((len(run), arch.trunk_in_dim))
+        x[:, :e_dim] = h_obs[run]
+        x[:, -1] = _squash(prev)
+        for key, (_, idx, _, _) in heads.items():
             if key not in arch.heads:
                 raise UnknownHead(f"no head for address {key!r}")
             x[idx, e_dim:-1] = a[f"embed::{key}"]
         hidden = np.tanh(x @ a["trunk_W"].T + a["trunk_b"])
         d_hidden = np.empty_like(hidden)
-        for key, idx in heads.items():
-            family, head_w = rows[idx[0]][4], a[f"head_W::{key}"]
-            params = [rows[j][3] for j in idx]
-            for distinct in dict.fromkeys(map(tuple, params)):
-                if dists.proposal_param_dim(dists.from_params(family, distinct)) != len(head_w):
-                    raise DimensionMismatch(f"head {key!r} does not fit prior {family}{distinct}")
+        for key, (family, idx, priors, which) in heads.items():
+            head_w = a[f"head_W::{key}"]
+            for params in priors:
+                if dists.proposal_param_dim(dists.from_params(family, params)) != len(head_w):
+                    raise DimensionMismatch(f"head {key!r} does not fit prior {family}{params}")
             raw = hidden[idx] @ head_w.T + a[f"head_b::{key}"]
-            nll, d_raw = dists.proposal_nll_grads(
-                family, raw, np.array([rows[j][2] for j in idx], dtype=float),
-                np.array(params, dtype=float))
+            nll, d_raw = dists.proposal_nll_grads(family, raw, value[idx],
+                                                  np.array(priors, dtype=float)[which])
             total += float(nll.sum())
             d_raw *= scale
             grads[f"head_W::{key}"] = d_raw.T @ hidden[idx]
@@ -288,13 +296,15 @@ def _loss_grad_rows(net, obs_rows, rows, heads, want_grad):
         grads["trunk_W"] = d_pre.T @ x
         grads["trunk_b"] = d_pre.sum(axis=0)
         d_x = d_pre @ a["trunk_W"]
-        for key, idx in heads.items():
+        for key, (_, idx, _, _) in heads.items():
             grads[f"embed::{key}"] = d_x[idx, e_dim:-1].sum(axis=0)
-        d_h_obs = np.zeros_like(h_obs)
-        np.add.at(d_h_obs, trace_idx, d_x[:, :e_dim])
+        # np.add.at(zeros, run, d_x[:, :e_dim]) in its order, as one bincount over the cells
+        d_h_obs = np.bincount((run[:, None] * e_dim + np.arange(e_dim)).ravel(),
+                              d_x[:, :e_dim].ravel(), h_obs.size).reshape(h_obs.shape)
         d_pre_obs = d_h_obs * (1.0 - h_obs * h_obs)
         grads["obs_W"] = d_pre_obs.T @ obs
         grads["obs_b"] = d_pre_obs.sum(axis=0)
+    grads = {k: grads[k] if k in grads else np.zeros_like(v) for k, v in a.items()}
     return total * scale, NetParams(grads) if want_grad else None
 
 
@@ -324,7 +334,6 @@ class TrainingConfig:
             raise ConfigError("learning_rate must be positive and finite")
 
 
-
 def discover_architecture(model_spec, master_seed, n_sims=_N_STANDARDIZE):
     """Build the architecture and standardization from prior simulations.
 
@@ -334,17 +343,13 @@ def discover_architecture(model_spec, master_seed, n_sims=_N_STANDARDIZE):
     """
     if n_sims < 2:
         raise ConfigError("n_sims must be >= 2")
-    obs_rows, rows, heads = _record_rows(model_spec.run, master_seed, n_sims, 1)
+    obs_rows, *_, heads = _record_rows(model_spec.run, master_seed, n_sims, 1)
     if len({row.size for row in obs_rows}) > 1:
         raise ConfigError("models with varying observation layout cannot be standardized")
-    for key, idx in heads.items():  # each head's first row
-        *_, params, family = rows[idx[0]]
+    for key, (family, _, (params, *_), _) in heads.items():  # the prior of the head's first row
         heads[key] = HeadSpec(family, dists.proposal_param_dim(dists.from_params(family, params)))
     matrix = np.asarray(obs_rows)
-    std = Standardization(
-        mean=matrix.mean(axis=0),
-        std=np.maximum(matrix.std(axis=0), _STD_FLOOR),
-    )
+    std = Standardization(matrix.mean(axis=0), np.maximum(matrix.std(axis=0), _STD_FLOOR))
     return NetArchitecture(obs_dim=matrix.shape[1], heads=heads), std
 
 
@@ -357,8 +362,7 @@ def train(model_spec, config, arch=None, standardization=None, on_step=None):
     """
     if arch is None or standardization is None:
         disc_arch, disc_std = discover_architecture(model_spec, config.master_seed)
-        arch = arch or disc_arch
-        standardization = standardization or disc_std
+        arch, standardization = arch or disc_arch, standardization or disc_std
     params = glorot_init(arch, derived_seed(config.master_seed, 0))
     net = ProposalNetwork(arch=arch, params=params, standardization=standardization)
     for step in range(config.steps):
@@ -404,13 +408,11 @@ class TrainedProposal:
 
 
 def save_net(net, path):
+    std = net.standardization
     obj = {
         "version": NET_FORMAT_VERSION,
         "arch": asdict(net.arch),
-        "standardization": {
-            "mean": net.standardization.mean.tolist(),
-            "std": net.standardization.std.tolist(),
-        },
+        "standardization": {"mean": std.mean.tolist(), "std": std.std.tolist()},
         "params": {name: arr.tolist() for name, arr in net.params.arrays.items()},
     }
     with open(path, "w") as fh:

@@ -29,10 +29,10 @@ run_batch builds traces from it, and training reads its columns instead.
 Latent draws use RNG stream 0 of the seed and synthetic observations stream 1
 (built on the first such draw), its spawn(2) children without advancing its
 spawn counter. Run i of a batch has the streams of derived_seed(master_seed,
-*key, i), master_seed a non-negative int or a sequence of them, made a chunk of
-runs at a time without that SeedSequence, which is built only when the model
-spawns from a stream or asks it for other words; prior and guided runs on one
-seed share latent randomness.
+*key, i), master_seed a non-negative int or a sequence of them: their PCG64
+words come from one numpy pass per chunk of runs, and that SeedSequence is built
+only when the model spawns from a stream or asks it for other words; prior and
+guided runs on one seed share latent randomness.
 """
 
 from __future__ import annotations
@@ -185,9 +185,7 @@ class ExecutionContext:
 
     def observed(self, key):
         """Component of the supplied observation, or None when unconditioned."""
-        if self.observation is None:
-            return None
-        return self.observation.get(key)
+        return None if self.observation is None else self.observation.get(key)
 
     def predict(self, name, value):
         if name in self.trace.predicts:
@@ -252,8 +250,6 @@ class FixedProposal:
 
     def proposal_for(self, address, prev_value, prior):
         entry = self.mapping.get(address.head_key)
-        if entry is None:
-            return None
         return entry(prior) if callable(entry) else entry
 
 
@@ -283,8 +279,11 @@ def _normal_params(site_name, site_ids, mu, sigma, runs, values=None):
 
 def normal_cells(rngs, mu, sigma):
     """Row i is rngs[i].normal(mu[i], sigma[i]) for (runs, cells) float mu and sigma, bit for
-    bit: mu[i] + sigma[i] * z with z = rngs[i].standard_normal(cells)."""
-    return mu + sigma * np.array([rng.standard_normal(mu.shape[1]) for rng in rngs])
+    bit: mu[i] + sigma[i] * z with z = rngs[i].standard_normal(cells), drawn into one array."""
+    z = np.empty(mu.shape)
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    return mu + sigma * z
 
 
 @dataclass(slots=True, eq=False)
@@ -300,9 +299,9 @@ class _NormalLogLiks:
 
 
 def _stream(ss, k):
-    """ss.spawn(2)[k] of a fresh ss, without advancing ss's spawn counter; a _RunSeed's words."""
+    """ss.spawn(2)[k] of a fresh ss, its spawn counter unmoved; of a _RunSeed, its run's k."""
     if isinstance(ss, _RunSeed):
-        return _RunSeed(ss.words, ss.run, k)
+        return ss if ss.k == k else _RunSeed(ss.words, ss.batch, ss.i, k)
     return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (k,), pool_size=ss.pool_size)
 
 
@@ -312,17 +311,18 @@ def derived_seed(master_seed, *key):
 
 
 class _RunSeed(np.random.bit_generator.ISpawnableSeedSequence):
-    """Seed of run i of a batch, run = (master_seed, key, i): words[k] is the PCG64 seed of
-    its stream k, _stream(derived_seed(master_seed, *key, i), k).generate_state(4, np.uint64).
-    Any other request, and spawn, go to that SeedSequence, built on first use."""
+    """Seed of stream k of run i of the batch at batch = (master_seed, key): words[k] is its PCG64
+    seed, derived_seed(master_seed, *key, i, k).generate_state(4, np.uint64), a C-contiguous row
+    (PCG64 reads its buffer). Any other request, and spawn, go to that SeedSequence, built on
+    first use. As the seed of a run it stands for the run; _stream gives its other stream."""
 
-    def __init__(self, words, run, k=0):
-        self.words, self.run, self.k = words, run, k
+    def __init__(self, words, batch, i, k=0):
+        self.words, self.batch, self.i, self.k = words, batch, i, k
 
     @cached_attribute
     def seed_seq(self):
-        master_seed, key, i = self.run
-        return _stream(derived_seed(master_seed, *key, i), self.k)
+        master_seed, key = self.batch
+        return derived_seed(master_seed, *key, self.i, self.k)
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words == 4 and dtype is np.uint64:  # PCG64's request
@@ -333,47 +333,52 @@ class _RunSeed(np.random.bit_generator.ISpawnableSeedSequence):
         return self.seed_seq.spawn(n_children)
 
 
-def _mix_in(pool, h, word):
-    """numpy SeedSequence's mix of a word (int or uint64 array) into its 4-word pool: (pool, h)."""
-    for d in range(4):  # hashmix: xor h in, then update it
-        v = (word ^ h) * (h := h * _MULT_A & _M32) & _M32
-        pool[d] = (r := (0xCA01F9DD * pool[d] - 0x4973F715 * (v ^ v >> 16)) & _M32) ^ r >> 16
-    return pool, h
+def _hashmix(word, h):
+    """numpy SeedSequence's hashmix of word under each hash constant h[:-1], in uint32."""
+    v = (word ^ h[:-1]) * h[1:]  # h[d + 1] is the constant after h[d]
+    return v ^ v >> 16
+
+
+def _mix(pool, word, h):
+    """numpy SeedSequence's mix of word into its four pool words, hashmixed under h[:4]."""
+    r = 0xCA01F9DD * pool - 0x4973F715 * _hashmix(word, h[:5])
+    return r ^ r >> 16
 
 
 def _seed_words(master_seed, key):
-    """Check master_seed and mix its words and key's once; return words(start, stop), whose
-    [r, k] is the PCG64 seed of stream k of run start + r (below 2**64) of the batch at key."""
+    """Check master_seed and mix its words and key's once; return words(start, stop), a
+    C-contiguous array whose [r, k] is the PCG64 seed of stream k of run start + r (below 2**64)
+    of the batch at key. The hash constants are a fixed sequence, so each word of i and k is
+    one pass over (runs, streams, pool words), and generate_state's 8 words (low first) one."""
     def nwords(x):  # 32-bit words SeedSequence makes of x; n >= 4 words take 4n hashmixes
         return (sum(map(nwords, x)) if isinstance(x, (list, tuple, range, np.ndarray))
                 else max(operator.index(x).bit_length() + 31, 32) // 32)
 
     try:  # nwords rejects non-ints and None (fresh OS entropy to SeedSequence); SeedSequence, < 0
         h0 = _INIT_A * pow(_MULT_A, 4 * (max(4, nwords(master_seed)) + nwords(key)), 2**32) & _M32
-        pool0 = [int(w) for w in derived_seed(master_seed, *key).pool]
+        pool0 = derived_seed(master_seed, *key).pool
     except (TypeError, ValueError) as exc:
         raise ConfigError("master_seed must be a non-negative int or a sequence of them, "
                           f"got {master_seed!r}") from exc
+    ha = np.array([h0 * pow(_MULT_A, j, 2**32) & _M32 for j in range(13)], np.uint32)
 
     def words(start, stop):
         if start < 1 << 32 < stop:  # indices from 2**32 on are two words
             return np.concatenate([words(start, 1 << 32), words(1 << 32, stop)])
-        i = np.arange(start, stop, dtype=np.uint64)
-        pool, h = _mix_in(list(pool0), h0, i & _M32)
+        i = np.arange(start, stop, dtype=np.uint64)[:, None, None]  # (runs, stream, pool word)
+        pool, h = _mix(pool0, i.astype(np.uint32), ha), ha[4:]
         if start >= 1 << 32:
-            pool, h = _mix_in(pool, h, i >> 32)
-        pool, hb = _mix_in(pool, h, np.array([[0], [1]], np.uint64))[0], _INIT_B  # k as rows
-        out = np.zeros((stop - start, 2, 4), np.uint64)
-        for j in range(8):  # generate_state: 8 words cycling over the pool, low word first
-            v = (pool[j % 4] ^ hb) * (hb := hb * _MULT_B & _M32) & _M32
-            out[..., j // 2] |= ((v ^ v >> 16) << 32 * (j % 2)).T
-        return out
+            pool, h = _mix(pool, (i >> 32).astype(np.uint32), h), h[4:]
+        v = _hashmix(_mix(pool, _STREAMS, h)[..., [0, 1, 2, 3] * 2], _HASH_B)  # generate_state
+        return np.ascontiguousarray(v[..., 1::2].astype(np.uint64) << 32 | v[..., ::2])
 
     return words
 
 
 _CHUNK = 64  # runs per model.many call: small arrays, and the first trace waits for one chunk
-_M32, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 2**32 - 1, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_M32, _INIT_A, _MULT_A = 2**32 - 1, 0x43B0D7E5, 0x931E8875
+_HASH_B = np.array([0x8B51F9DD * pow(0x58F38DED, j, 2**32) & _M32 for j in range(9)], np.uint32)
+_STREAMS = np.array([[0], [1]], np.uint32)  # the word k of stream k, on the stream axis
 
 
 def run_batch(model, mode, master_seed, n, *key, observation=None, proposal_source=None):
@@ -394,9 +399,10 @@ def run_batch(model, mode, master_seed, n, *key, observation=None, proposal_sour
 
 
 def _seed_chunks(master_seed, n, key):
-    words = _seed_words(master_seed, key)
-    return ([_RunSeed(w, (master_seed, key, i))
-             for i, w in enumerate(words(a, min(n, a + _CHUNK)), a)] for a in range(0, n, _CHUNK))
+    """The seeds of n runs of the batch at key, a list of up to _CHUNK runs at a time."""
+    words, batch = _seed_words(master_seed, key), (master_seed, key)
+    return ([_RunSeed(w, batch, i) for i, w in enumerate(words(a, min(n, a + _CHUNK)), a)]
+            for a in range(0, n, _CHUNK))
 
 
 def _run_chunks(model, mode, master_seed, n, *key):
@@ -422,8 +428,8 @@ class _Chunk:
     def __init__(self, seeds):
         self.seeds, self.counters = seeds, AddressTable()
         self.samples, self.observes, self.predicts = [], [], {}
-        self.rngs, self.obs_rngs = ([np.random.default_rng(_stream(s, k)) for s in seeds]
-                                    for k in (0, 1))
+        self.rngs, self.obs_rngs = ([np.random.Generator(np.random.PCG64(_stream(s, k)))
+                                     for s in seeds] for k in (0, 1))
 
     def __len__(self):
         return len(self.seeds)
@@ -431,7 +437,7 @@ class _Chunk:
     def sample(self, site_id, prior):
         """The column of prior.sample(rng) on each run's stream 0, a tuple."""
         addr = self.counters.extend((), site_id, prior.family)
-        values = tuple(prior.sample(rng) for rng in self.rngs)
+        values = tuple(map(prior.sample, self.rngs))
         self.samples.append((addr, prior, values))
         return values
 

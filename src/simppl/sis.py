@@ -106,9 +106,7 @@ def posterior_summary(particles, name):
         for v, wi in zip(values, w):
             key = int(v)
             hist[key] = hist.get(key, 0.0) + float(wi)
-        base["kind"] = "int"
-        base["histogram"] = {k: hist[k] for k in sorted(hist)}
-        return base
+        return {**base, "kind": "int", "histogram": {k: hist[k] for k in sorted(hist)}}
 
     x = np.asarray(values, dtype=float)
     mean = float(np.dot(w, x))
@@ -116,14 +114,8 @@ def posterior_summary(particles, name):
     order = np.argsort(x, kind="stable")
     xs = x[order]
     cum = np.cumsum(w[order])
-    quantiles = {}
-    for q in _QUANTILES:
-        quantiles[str(q)] = _weighted_quantile(xs, cum, q)
-    base["kind"] = "real"
-    base["mean"] = mean
-    base["var"] = var
-    base["quantiles"] = quantiles
-    return base
+    quantiles = {str(q): _weighted_quantile(xs, cum, q) for q in _QUANTILES}
+    return {**base, "kind": "real", "mean": mean, "var": var, "quantiles": quantiles}
 
 
 def _weighted_quantile(xs, cum, q):

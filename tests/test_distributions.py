@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
 from simppl.distributions import (
@@ -189,6 +189,33 @@ def test_sampling_is_reproducible():
     a = d.sample(np.random.default_rng(42))
     b = d.sample(np.random.default_rng(42))
     assert a == b
+
+
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    bounds=(st.tuples(_ANY_FLOAT, _ANY_FLOAT).map(sorted)  # from tiny to overflowing widths
+            | st.tuples(finite, st.floats(1e-300, 1e3)).map(lambda b: (b[0], b[0] + b[1])))
+    .filter(lambda b: b[0] < b[1]),
+    rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+def test_uniform_and_exponential_samples_are_generator_draws_bit_for_bit(seed, bounds, rate):
+    # Uniform.sample is lo + (hi - lo) * rng.random() and Exponential.sample
+    # 1 / rate * rng.standard_exponential(): numpy's own arithmetic, a third of the cost
+    lo, hi = bounds
+    if hi - lo == math.inf:  # rng.uniform raises OverflowError on these bounds
+        with pytest.raises(ParameterError, match="hi - lo finite"):
+            Uniform(lo, hi)
+        assume(False)
+    uniform, exponential = Uniform(lo, hi), Exponential(rate)
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(25):  # interleaved, so each takes one double from the stream
+        assert uniform.sample(got).hex() == float(want.uniform(lo, hi)).hex()
+        assert exponential.sample(got).hex() == float(want.exponential(1 / rate)).hex()
+    assert got.bit_generator.state == want.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -668,7 +668,9 @@ def test_seed_words_are_the_words_seed_sequence_generates(master_seed, key, star
         for k in (0, 1):
             want = np.random.SeedSequence(master_seed, spawn_key=(*key, i, k))
             assert words[r, k].tolist() == want.generate_state(4, np.uint64).tolist()
-            run_seed = runtime._RunSeed(words[r], (master_seed, tuple(key), i))
+            # PCG64 reads the row's buffer: a strided view of equal values seeds other states
+            assert words[r, k].flags.c_contiguous
+            run_seed = runtime._RunSeed(words[r], (master_seed, tuple(key)), i)
             got = np.random.default_rng(runtime._stream(run_seed, k))
             stream = runtime._stream(derived_seed(master_seed, *key, i), k)
             assert got.bit_generator.state == np.random.default_rng(stream).bit_generator.state

@@ -188,6 +188,20 @@ def test_estimates_tighten_with_more_particles():
     assert errs[10_000] < errs[100] / 3  # sqrt(100) ideal, slack for noise
 
 
+def test_the_mean_unnormalised_weight_is_an_unbiased_evidence_estimate():
+    # Z-hat, the mean unnormalised weight, estimates p(y) without bias under any proposal
+    # covering the prior: here a biased one, for y = 0.7, where p(y) = N(0.7; 0, var 2)
+    y, seeds, particles = 0.7, 200, 100
+    evidence = math.exp(-y * y / 4) / math.sqrt(4 * math.pi)  # 0.24957
+    proposal = FixedProposal({"mu:Normal": Normal(1.2, 0.6)})
+    z_hats = []
+    for seed in range(seeds):
+        lw = sis_infer(GAUSSIAN, {"y": y}, particles, proposal, master_seed=seed).log_weights
+        z_hats.append(math.exp(lw.max()) * np.exp(lw - lw.max()).mean())  # log-mean-exp
+    z = (np.mean(z_hats) - evidence) / (np.std(z_hats, ddof=1) / math.sqrt(seeds))
+    assert abs(z) <= 4, (np.mean(z_hats), evidence, z)
+
+
 def test_trace_ids_number_the_particles():
     ps = sis_infer(GAUSSIAN, {"y": 1.0}, 5, master_seed=2)
     assert [t.trace_id for t in ps.traces] == [0, 1, 2, 3, 4]
