@@ -43,12 +43,13 @@ def softplus(x):
 
 
 def _constrain(cmap, raw):
-    """Constraint map on a raw row or on each row of a batch, by the same scalar maps."""
+    """Constraint map on a raw row by its scalar maps, or on each row of a batch, where softplus
+    is np.fmax(np.logaddexp(0.0, col), 1e-12), the scalar softplus bit for bit."""
     if not isinstance(cmap, tuple):
         return cmap(raw)
     if raw.ndim == 1:
         return [v if f is None else f(v) for f, v in zip(cmap, raw.tolist())]
-    return np.column_stack([col if f is None else np.array(list(map(f, col.tolist())))
+    return np.column_stack([col if f is None else np.fmax(np.logaddexp(0.0, col), 1e-12)
                             for f, col in zip(cmap, raw.T)])
 
 

@@ -445,7 +445,7 @@ def load_net(path):
         arrays = {name: np.asarray(arr, dtype=float) for name, arr in obj["params"].items()}
         net = ProposalNetwork(arch=arch, params=NetParams(arrays), standardization=std)
         _check_shapes(net)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedFile(f"{path}: {exc}") from exc
     return net
 

@@ -18,14 +18,14 @@ TraceEntry. Every mode appends (scope_id, retries) to trace.scope_executions
 as each rejection scope exits, inner scopes before the scope that holds them.
 
 run_model executes a model once. A guided trace's log_weight, the run's result,
-is set before it returns; an unconditioned trace's log_weight and its batched
-observe log-likelihoods are computed on their first read (the parameters are
-checked at the statement), so training, which reads neither, computes neither.
-run_batch yields n executions one at a time. A model may carry a vectorised
-body, model.many(chunk), that _run_chunks runs on up to _CHUNK unconditioned
-runs, each statement once for all of them (see _Chunk). Every run takes the
-same statements, and the chunk must match the scalar body bit for bit:
-run_batch builds traces from it, and training reads its columns instead.
+is set before it returns; an unconditioned trace's is computed on its first read.
+Each observe stores its log-likelihoods as it runs. run_batch yields n
+executions one at a time. A model may carry a vectorised body, model.many(chunk),
+that _run_chunks runs on up to _CHUNK unconditioned runs, each statement once for
+all of them (see _Chunk). Every run takes the same statements, and the chunk must
+match the scalar body bit for bit: run_batch builds traces from it, computing
+each observe block's log-likelihoods for all runs in one pass, and training reads
+its columns instead, computing none.
 Latent draws use RNG stream 0 of the seed and synthetic observations stream 1
 (built on the first such draw), its spawn(2) children without advancing its
 spawn counter. Run i of a batch has the streams of derived_seed(master_seed,
@@ -171,7 +171,7 @@ class ExecutionContext:
             self._check_unconditioned(addrs[0])
             values = normal_cells([self.obs_rng], mu, sigma)[0]
         self.trace.observe_blocks.append(
-            (addrs, _NormalLogLiks([np.array(values, dtype=float), mu[0], sigma[0]]), values))
+            (addrs, normal_log_probs(np.array(values, dtype=float), mu[0], sigma[0]), values))
         return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
     def _check_unconditioned(self, addr):
@@ -254,8 +254,8 @@ class FixedProposal:
 
 
 def _normal_params(site_name, site_ids, mu, sigma, runs, values=None):
-    """Checked (runs, cells) float copies of mu and sigma (blocks compute from them later); the
-    error names the first site at fault (the last if none is) as site_name(site_id)."""
+    """Checked (runs, cells) float copies of mu and sigma (a chunk reads them after the body
+    returns); the error names the first site at fault (the last if none is) as site_name(site_id)."""
     n = len(site_ids)
     mu, sigma = np.array(mu, dtype=float), np.array(sigma, dtype=float)
     sizes = [a.shape[-1] if a.ndim and a.shape[:-1] == (runs,) else 0 for a in (mu, sigma)]
@@ -284,18 +284,6 @@ def normal_cells(rngs, mu, sigma):
     for rng, row in zip(rngs, z):
         rng.standard_normal(out=row)
     return mu + sigma * z
-
-
-@dataclass(slots=True, eq=False)
-class _NormalLogLiks:
-    """A block's log-likelihoods, normal_log_probs(x, mu, sigma) computed on the first read."""
-
-    cells: list  # [x, mu, sigma] until then, the row after (elementwise: a batch pass's bits)
-
-    def __array__(self, dtype=None, copy=None):
-        if type(self.cells) is list:
-            self.cells = normal_log_probs(*self.cells)
-        return np.array(self.cells, dtype, copy=copy)
 
 
 def _stream(ss, k):
@@ -422,8 +410,9 @@ def _run_chunks(model, mode, master_seed, n, *key):
 
 class _Chunk:
     """Runs that a vectorised body executes one statement at a time for all, with one address
-    sequence and no scopes, run i on its own streams. Iterating builds each run's Trace; training
-    reads samples, (address, prior, values), and observes, (addresses, values, mu, sigma)."""
+    sequence and no scopes, run i on its own streams. Iterating builds each run's Trace, run i
+    taking row i of each observe's log-likelihoods; training reads samples, (address, prior,
+    values), and observes, (addresses, values, mu, sigma)."""
 
     def __init__(self, seeds):
         self.seeds, self.counters = seeds, AddressTable()
@@ -462,12 +451,12 @@ class _Chunk:
         self.predicts[name] = column
 
     def __iter__(self):
+        blocks = [(a, normal_log_probs(v, mu, sigma), v) for a, v, mu, sigma in self.observes]
         for i in range(len(self)):
             trace = Trace([TraceEntry(a, prior.params, v[i], lp, lp) for a, prior, v in self.samples
                            for lp in (prior.log_prob(v[i]),)],
                           {name: column[i] for name, column in self.predicts.items()})
-            trace.observe_blocks += [(a, _NormalLogLiks([v[i], mu[i], sigma[i]]), v[i])
-                                     for a, v, mu, sigma in self.observes]
+            trace.observe_blocks += [(a, log_liks[i], v[i]) for a, log_liks, v in blocks]
             yield trace
 
 

@@ -177,11 +177,11 @@ class Trace:
 
     observe_blocks is the one observe store: one (addresses, log-likelihoods,
     values) block per observe statement; values is None when read from JSONL.
-    A batched observe's log-likelihoods may be a row computed on its first
-    read; read every column through column_list. `observes` is a read-only
-    view, a fresh ObserveEntry list on each read. log_weight, unless set
-    first (guided runs and JSONL reads set it), is trace_log_weight computed
-    on its first read. Equality is identity: blocks hold arrays.
+    A column is a list, a tuple or an array; read it through column_list.
+    `observes` is a read-only view, a fresh ObserveEntry list on each read.
+    log_weight, unless set first (guided runs and JSONL reads set it), is
+    trace_log_weight computed on its first read. Equality is identity: blocks
+    hold arrays.
     """
 
     entries: list = field(default_factory=list)
@@ -210,8 +210,8 @@ class Trace:
 
 
 def column_list(cells):
-    """A block's column as a list or tuple; an array or deferred row (__array__) becomes floats."""
-    return cells.__array__().tolist() if hasattr(cells, "__array__") else cells
+    """A block's column as a list or tuple: an array's tolist(), else the column itself."""
+    return cells.tolist() if hasattr(cells, "tolist") else cells
 
 
 def trace_log_weight(trace):

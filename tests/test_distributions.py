@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate
 
 from simppl.distributions import (
@@ -14,6 +14,7 @@ from simppl.distributions import (
     ScaledBeta,
     FAMILIES,
     Uniform,
+    _constrain,
     from_params,
     normal_log_probs,
     proposal_from_params,
@@ -216,6 +217,22 @@ def test_uniform_and_exponential_samples_are_generator_draws_bit_for_bit(seed, b
         assert uniform.sample(got).hex() == float(want.uniform(lo, hi)).hex()
         assert exponential.sample(got).hex() == float(want.exponential(1 / rate)).hex()
     assert got.bit_generator.state == want.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(), st.floats(), st.floats(-800, 800)), min_size=1,
+                     max_size=40))
+@example(rows=[(0.0, -0.0, 1e-3), (math.inf, -math.inf, -1e-3), (math.nan, 1e308, -1e308),
+               (5e-324, -5e-324, 36.7), (709.8, -745.2, -36.7)])
+def test_a_batch_softplus_is_the_scalar_softplus_bit_for_bit(rows):
+    # a batch constrains a column in numpy, np.fmax(np.logaddexp(0.0, col), 1e-12);
+    # a row through the scalar softplus (NaN gives the floor on both)
+    raw = np.array(rows, dtype=float)
+    cmap = (softplus, None, softplus)
+    with np.errstate(invalid="ignore"):  # NaN in logaddexp
+        got = _constrain(cmap, raw)
+    want = np.array([_constrain(cmap, row) for row in raw])
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

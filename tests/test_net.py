@@ -541,6 +541,13 @@ def test_load_rejects_garbage_and_truncations(tmp_path):
     with pytest.raises((MalformedFile, VersionMismatch)):
         load_net(path)
 
+    for part in ("params", "heads"):  # a JSON list where an object belongs
+        obj = saved_net_obj(path)
+        (obj if part == "params" else obj["arch"])[part] = []
+        path.write_text(json.dumps(obj))
+        with pytest.raises(MalformedFile):
+            load_net(path)
+
 
 def saved_net_obj(path):
     save_net(gaussian_net(), path)

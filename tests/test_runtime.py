@@ -1030,7 +1030,8 @@ def test_sis_infer_on_the_tau_spec_keeps_the_scalar_body(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# observe log-likelihoods and weights of unconditioned runs, computed on first read
+# observe log-likelihoods, computed at the observe or for a whole chunk; weights of
+# unconditioned runs, computed on first read
 
 
 def test_training_computes_no_observe_log_likelihood_or_weight(monkeypatch):
@@ -1057,18 +1058,29 @@ def test_training_computes_no_observe_log_likelihood_or_weight(monkeypatch):
     mode=st.sampled_from([Mode.PRIOR, Mode.RECORD]),
     weight_first=st.integers(0, 2**(2 * CHUNK + 12) - 1),
 )
-def test_deferred_log_likelihoods_and_weights_equal_eager_ones_read_in_any_order(
+def test_chunk_log_likelihoods_and_weights_equal_the_scalar_bodys_read_in_any_order(
         master_seed, n, mode, weight_first):
     spec = simzoo.get_model("tau_decay_toy")
-    with pytest.MonkeyPatch.context() as patch:  # the reference computes each block at its observe
-        patch.setattr(runtime, "_NormalLogLiks", lambda row: runtime.normal_log_probs(*row))
-        want = [_exact(t) for t in run_batch(_scalar(spec.run), mode, master_seed, n)]
+    want = [_exact(t) for t in run_batch(_scalar(spec.run), mode, master_seed, n)]
     got = []
     for i, trace in enumerate(list(run_batch(spec.run, mode, master_seed, n))):
         weight = trace.log_weight.hex() if weight_first >> i & 1 else None  # before the blocks
         got.append(_exact(trace))
         assert weight in (None, got[-1][3])
     assert got == want
+
+
+def test_a_chunk_computes_each_observe_blocks_log_likelihoods_in_one_pass(monkeypatch):
+    shapes = []
+    fn = runtime.normal_log_probs
+    monkeypatch.setattr(runtime, "normal_log_probs",
+                        lambda x, mu, sigma: shapes.append(x.shape) or fn(x, mu, sigma))
+    spec = simzoo.get_model("tau_decay_toy")
+    traces = list(run_batch(spec.run, Mode.PRIOR, 8, CHUNK + 1))
+    for trace in traces:  # reading a weight computes no further row
+        assert math.isfinite(trace.log_weight)
+    cells = len(traces[0].observe_blocks[0][0])
+    assert len(traces[0].observe_blocks) == 1 and shapes == [(CHUNK, cells), (1, cells)]
 
 
 _FINITE_OR_MINUS_INF = st.floats(allow_nan=False, allow_infinity=False) | st.just(-math.inf)
