@@ -3,8 +3,9 @@
 Priors supported at sample statements: Normal, Uniform, Categorical,
 Exponential, Poisson. Each prior family has a fixed proposal family whose
 parameters an inference network emits as an unconstrained vector. _PROPOSALS
-holds one row per prior family: the constraint map (identity for locations,
-softplus for scales/rates, softmax for simplex weights), the proposal, and
+holds one row per prior family: the constraint map of an (n, dim) raw batch
+(identity for locations, softplus for scales/rates, softmax for simplex
+weights), the row builder that makes the proposal from one raw row, and
 -log q with its gradient over (n, dim) raw arrays. Proposals sample inside
 supports that cover the matching priors', which keeps importance weights finite.
 
@@ -43,20 +44,18 @@ def softplus(x):
 
 
 def _constrain(cmap, raw):
-    """Constraint map on a raw row by its scalar maps, or on each row of a batch, where softplus
-    is np.fmax(np.logaddexp(0.0, col), 1e-12), the scalar softplus bit for bit."""
+    """Constraint map on each row of an (n, dim) batch, where softplus is
+    np.fmax(np.logaddexp(0.0, col), 1e-12), the scalar softplus bit for bit."""
     if not isinstance(cmap, tuple):
         return cmap(raw)
-    if raw.ndim == 1:
-        return [v if f is None else f(v) for f, v in zip(cmap, raw.tolist())]
     return np.column_stack([col if f is None else np.fmax(np.logaddexp(0.0, col), 1e-12)
                             for f, col in zip(cmap, raw.T)])
 
 
 def softmax(raw):
     v = np.asarray(raw, dtype=float)
-    v = np.exp(v - v.max(axis=-1, keepdims=True))
-    v /= v.sum(axis=-1, keepdims=True)
+    v = np.exp(v - np.maximum.reduce(v, axis=-1, keepdims=True))  # v.max and v.sum, called
+    v /= np.add.reduce(v, axis=-1, keepdims=True)  # without their Python wrappers
     return v
 
 
@@ -351,14 +350,17 @@ def _poisson_nll_grad(raw, q, x, prior_params):
     return nll, ((1.0 - x / lam) * expit(raw[:, 0]))[:, None]
 
 
-# prior family: (constraint map, softmax or a scalar map per column with None for
-# identity; proposal of prior p from a constrained row q; -log q with its gradient)
+# prior family: (constraint map of a batch, softmax or a scalar map per column with None for
+# identity; proposal of prior p from a raw row's list r; -log q with its gradient)
 _PROPOSALS = {
-    "Normal": ((None, softplus), lambda p, q: Normal(*q), _normal_nll_grad),
-    "Uniform": ((softplus, softplus), lambda p, q: ScaledBeta(*q, p.lo, p.hi), _beta_nll_grad),
-    "Categorical": (softmax, lambda p, q: Categorical(q), _categorical_nll_grad),
-    "Exponential": ((None, softplus), lambda p, q: LogNormal(*q), _lognormal_nll_grad),
-    "Poisson": ((softplus,), lambda p, q: Poisson(*q), _poisson_nll_grad),
+    "Normal": ((None, softplus), lambda p, r: Normal(r[0], softplus(r[1])), _normal_nll_grad),
+    "Uniform": ((softplus, softplus), lambda p, r: ScaledBeta(softplus(r[0]), softplus(r[1]),
+                                                              p.lo, p.hi), _beta_nll_grad),
+    "Categorical": (softmax, lambda p, r: Categorical(softmax(r).tolist()),
+                    _categorical_nll_grad),
+    "Exponential": ((None, softplus), lambda p, r: LogNormal(r[0], softplus(r[1])),
+                    _lognormal_nll_grad),
+    "Poisson": ((softplus,), lambda p, r: Poisson(softplus(r[0])), _poisson_nll_grad),
 }
 
 
@@ -385,16 +387,11 @@ def _raw_row(prior, raw):
 
 
 def proposal_from_params(prior, raw):
-    """Build the proposal distribution for a prior from unconstrained params.
-
-    Normal -> Normal(raw0, softplus(raw1))
-    Uniform(lo,hi) -> ScaledBeta(softplus(raw0), softplus(raw1), lo, hi)
-    Categorical(k) -> Categorical(softmax(raw))
-    Exponential -> LogNormal(raw0, softplus(raw1))
-    Poisson -> Poisson(softplus(raw0))
-    """
-    cmap, build, _ = _proposal_family(prior.family)
-    return build(prior, _constrain(cmap, _raw_row(prior, raw)))
+    """The proposal for a prior from unconstrained params r: after one length check, the
+    family's row builder in _PROPOSALS on their list. Normal: Normal(r0, softplus(r1)); Uniform:
+    ScaledBeta(softplus(r0), softplus(r1), lo, hi); Categorical: Categorical(softmax(r));
+    Exponential: LogNormal(r0, softplus(r1)); Poisson: Poisson(softplus(r0))."""
+    return _PROPOSALS[prior.family][1](prior, _raw_row(prior, raw).tolist())
 
 
 def proposal_nll_grads(family, raw, values, prior_params):

@@ -188,13 +188,22 @@ class ProposalNetwork:
         a = self.params.arrays
         return np.tanh(a["obs_W"] @ self.standardization.apply(obs_vec) + a["obs_b"])
 
-    def raw_from_encoding(self, h_obs, head_key, prev_value):
+    def head_row(self, h_obs, head_key):
+        """What _head_raw reads: the trunk input [h_obs | embed | 0.0], trunk and head arrays."""
         a = self.params.arrays
         if head_key not in self.arch.heads:
             raise UnknownHead(f"no head for address {head_key!r}")
-        x = np.concatenate([h_obs, a[f"embed::{head_key}"], [_squash(prev_value)]])
-        hidden = np.tanh(a["trunk_W"] @ x + a["trunk_b"])
-        return a[f"head_W::{head_key}"] @ hidden + a[f"head_b::{head_key}"]
+        return (np.concatenate([h_obs, a[f"embed::{head_key}"], [0.0]]), a["trunk_W"],
+                a["trunk_b"], a[f"head_W::{head_key}"], a[f"head_b::{head_key}"])
+
+    def raw_from_encoding(self, h_obs, head_key, prev_value):
+        return _head_raw(self.head_row(h_obs, head_key), prev_value)
+
+
+def _head_raw(row, prev_value):
+    x, trunk_w, trunk_b, head_w, head_b = row
+    x[-1] = _squash(prev_value)  # the row's last slot
+    return head_w @ np.tanh(trunk_w @ x + trunk_b) + head_b
 
 
 def _trace_obs_vector(trace):
@@ -386,21 +395,24 @@ def train(model_spec, config, arch=None, standardization=None, on_step=None):
 class TrainedProposal:
     """Adapter exposing a ProposalNetwork as a runtime proposal source.
 
-    The observation is fixed per inference run, so its encoding is computed
-    once and shared by every particle. Addresses without a head return None,
-    which the runtime counts and resolves by falling back to the prior.
+    The observation is fixed per inference run, so its encoding and each head's
+    head_row are computed once and shared by every particle; a call writes into
+    its head's row, so one instance serves one thread. Addresses without a head
+    return None, which the runtime counts and resolves by falling back to the prior.
     """
 
     def __init__(self, net, obs_vector):
-        self.net = net
-        self._h_obs = net.encode_obs(np.asarray(obs_vector, dtype=float))
+        h_obs = net.encode_obs(np.asarray(obs_vector, dtype=float))
+        self._rows = {key: net.head_row(h_obs, key) for key in net.arch.heads}
 
     def proposal_for(self, address, prev_value, prior):
-        key = address.head_key
-        if key not in self.net.arch.heads:
+        row = self._rows.get(address.head_key)
+        if row is None:
             return None
-        raw = self.net.raw_from_encoding(self._h_obs, key, prev_value)
-        return dists.proposal_from_params(prior, raw)
+        try:
+            return dists.proposal_from_params(prior, _head_raw(row, prev_value))
+        except DimensionMismatch as exc:  # the head does not fit the prior
+            raise DimensionMismatch(f"head at {address.rendered}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

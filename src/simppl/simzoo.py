@@ -144,6 +144,13 @@ class TauToyConfig:
         if not 0 < self.spot_sigma < math.inf:
             raise ConfigInvalid("spot_sigma must be positive and finite")
 
+    @functools.cached_property
+    def priors(self):
+        """The four latent sites with their priors, built on the first run of the config."""
+        return (("channel", Categorical(self.channel_prior)),
+                ("pmag", Exponential(1.0 / self.momentum_scale)),
+                ("theta", Uniform(0.0, self.theta_max)), ("phi", Uniform(-math.pi, math.pi)))
+
     def to_dict(self):
         """Every field in declaration order, tuples as (nested) lists."""
 
@@ -205,12 +212,6 @@ def deposit_image(cfg, latents):
     return np.array(scales)[:, :, None, None] * spot[:, None, :, :]
 
 
-def _tau_priors(cfg):
-    return {"channel": Categorical(cfg.channel_prior),
-            "pmag": Exponential(1.0 / cfg.momentum_scale),
-            "theta": Uniform(0.0, cfg.theta_max), "phi": Uniform(-math.pi, math.pi)}
-
-
 def _tau_predicts(channel, pmag, theta, phi):
     sin_t = math.sin(theta)
     return {"channel": int(channel), "p_x": pmag * sin_t * math.cos(phi),
@@ -218,7 +219,7 @@ def _tau_predicts(channel, pmag, theta, phi):
 
 
 def tau_decay_toy(ctx, cfg=DEFAULT_TAU_CONFIG):
-    latents = [ctx.sample(site, prior) for site, prior in _tau_priors(cfg).items()]
+    latents = [ctx.sample(site, prior) for site, prior in cfg.priors]
     expected = deposit_image(cfg, [latents]).ravel()
     sigmas = cfg.noise_sigma * np.maximum(expected, ENERGY_FLOOR)
     ctx.observe_normal_many(_cell_site_ids(cfg.grid), expected, sigmas, ctx.observed("cells"))
@@ -229,7 +230,7 @@ def tau_decay_toy(ctx, cfg=DEFAULT_TAU_CONFIG):
 def tau_decay_toy_many(chunk, cfg=DEFAULT_TAU_CONFIG):
     """tau_decay_toy over a runtime chunk of unconditioned runs, bit for bit: each statement
     runs once for the chunk, and the images and likelihood parameters are one numpy pass."""
-    latents = [chunk.sample(site, prior) for site, prior in _tau_priors(cfg).items()]
+    latents = [chunk.sample(site, prior) for site, prior in cfg.priors]
     expected = deposit_image(cfg, list(zip(*latents))).reshape(len(chunk), -1)
     sigmas = cfg.noise_sigma * np.maximum(expected, ENERGY_FLOOR)
     chunk.observe_normal_many(_cell_site_ids(cfg.grid), expected, sigmas)

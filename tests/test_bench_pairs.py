@@ -96,7 +96,7 @@ def test_the_report_holds_each_trees_bytecode_cache_before_and_after_its_runs(tm
 
     def run_once(tree, workload, seed, seconds):  # a run that compiles src/ leaves a cache
         os.makedirs(os.path.join(tree, "src", "simppl", "__pycache__"), exist_ok=True)
-        return {"metrics": {"setup_s": {"value": 0.1 * seed}}}
+        return {"attempted": 100 * seed, "metrics": {"setup_s": {"value": 0.1 * seed}}}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs, "golden_sha", lambda tree: "sha")
@@ -114,6 +114,33 @@ def test_the_report_holds_each_trees_bytecode_cache_before_and_after_its_runs(tm
     }
     assert report["src_lines"] == {"parent": 4, "change": 1}
     assert report["complete"] is True and "failed" not in report
+
+
+def test_the_report_summarises_the_operations_each_side_attempted(tmp_path, monkeypatch):
+    # tau-infer's peak_rss_mb follows the particles a run attempted, so the report keeps
+    # each side's attempted counts with their median and quartiles, as for a metric
+    bench_pairs = _bench_pairs()
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": [{"name": "peak_rss_mb", "better": "lower"}]}))
+    attempted = {"parent": [100, 300, 200, 400, 500], "change": [150, 120, 110, 130, 140]}
+
+    def run_once(tree, workload, seed, seconds):
+        n = attempted[os.path.basename(tree)][seed - 1]
+        return {"attempted": n, "metrics": {"peak_rss_mb": {"value": 50.0 + n / 1000}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "golden_sha", lambda tree: "sha")
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--pairs", "5",
+                             "--workloads", "tau-infer", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["workloads"]["tau-infer"]
+    assert report["attempted"] == {
+        "parent": {"values": attempted["parent"], "median": 300, "q1": 200, "q3": 400},
+        "change": {"values": attempted["change"], "median": 130, "q1": 120, "q3": 140}}
+    assert report["metrics"]["peak_rss_mb"]["wins"] == 4
 
 
 # counts its calls in a file beside it and fails on the second

@@ -564,6 +564,24 @@ def test_infer_rejects_a_network_for_another_observation_size(tmp_path, capsys, 
     assert "--net takes 1 observation cells, the observation has 196" in capsys.readouterr().err
 
 
+def test_infer_names_the_address_whose_head_does_not_fit_its_prior(tmp_path, capsys):
+    # tau_net.json's channel head emits 5 raw values, the prior of a 3-channel config takes 3;
+    # at the parent the message named neither the head nor the address
+    default = TauToyConfig().to_dict()
+    config = {**default, "n_channels": 3, "channel_prior": [0.5, 0.3, 0.2],
+              "depth_profiles": default["depth_profiles"][:3],
+              "channel_kinds": default["channel_kinds"][:3]}
+    values, _ = make_observation("tau_decay_toy", 3, config)
+    obs = write_observation(tmp_path / "obs.json", "tau_decay_toy", {"cells": values["cells"]},
+                            config)
+    rc = cli.main(["infer", "--model", "tau_decay_toy", "--observation", obs, "--net", TAU_NET,
+                   "--particles", "10", "--seed", "1", "--out", str(tmp_path / "o.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: head at channel:Categorical#0: Categorical "
+                                       "proposal needs 3 params, got shape (5,)\n")
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_infer_rejects_malformed_observation_json(tmp_path, capsys):
     path = tmp_path / "obs.json"
     for content in (b"{not json", b"\x80"):  # bad syntax, then bytes that are not UTF-8

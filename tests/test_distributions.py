@@ -14,6 +14,7 @@ from simppl.distributions import (
     ScaledBeta,
     FAMILIES,
     Uniform,
+    _PROPOSALS,
     _constrain,
     from_params,
     normal_log_probs,
@@ -226,12 +227,12 @@ def test_uniform_and_exponential_samples_are_generator_draws_bit_for_bit(seed, b
                (5e-324, -5e-324, 36.7), (709.8, -745.2, -36.7)])
 def test_a_batch_softplus_is_the_scalar_softplus_bit_for_bit(rows):
     # a batch constrains a column in numpy, np.fmax(np.logaddexp(0.0, col), 1e-12);
-    # a row through the scalar softplus (NaN gives the floor on both)
+    # a row builder maps each value through the scalar softplus (NaN gives the floor on both)
     raw = np.array(rows, dtype=float)
     cmap = (softplus, None, softplus)
     with np.errstate(invalid="ignore"):  # NaN in logaddexp
         got = _constrain(cmap, raw)
-    want = np.array([_constrain(cmap, row) for row in raw])
+    want = np.array([[v if f is None else f(v) for f, v in zip(cmap, row)] for row in rows])
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
@@ -393,6 +394,21 @@ def test_proposal_draws_keep_densities_and_weights_finite(prior, data):
     assert np.isfinite(ps.log_weights).all()
     assert np.isfinite(ps.weights).all()
     assert ps.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prior=PROPERTY_PRIORS, data=st.data())
+def test_each_row_builder_is_row_0_of_the_batch_constraint_bit_for_bit(prior, data):
+    # the row builders of proposal_from_params and the batch _constrain of training are two
+    # writings of one constraint map; the proposal's leading params are the constrained row
+    dim = proposal_param_dim(prior)
+    raw = np.array(data.draw(st.lists(st.floats(-700.0, 700.0), min_size=dim, max_size=dim)))
+    cmap, build, _ = _PROPOSALS[prior.family]
+    q = proposal_from_params(prior, raw)
+    assert [v.hex() for v in q.params[:dim]] == [
+        v.hex() for v in _constrain(cmap, raw[None])[0].tolist()]
+    assert q == build(prior, raw.tolist())
+    assert q.params[dim:] == (prior.params if prior.family == "Uniform" else ())  # the bounds
 
 
 def test_softplus_floor_keeps_scales_positive():

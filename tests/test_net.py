@@ -1,9 +1,11 @@
+import functools
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simppl import simzoo
 from simppl.distributions import (
@@ -44,7 +46,7 @@ from simppl.net import (
 )
 from simppl.runtime import Mode, run_model
 from simppl.sis import particle_seed, sis_infer
-from simppl.trace import iter_traces, write_traces
+from simppl.trace import Address, iter_traces, write_traces
 
 INPUTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "benchmark", "inputs")
@@ -192,6 +194,43 @@ def test_guided_tau_rejects_a_non_finite_cell_by_index():
         sis_infer(TAU.run, obs, 10,
                   TrainedProposal(load_net(os.path.join(INPUTS, "tau_net.json")),
                                   np.asarray(cells)))
+
+
+@functools.cache
+def _tau_net_and_cells():
+    with open(os.path.join(INPUTS, "tau_observations.json")) as fh:
+        observations = json.load(fh)["observations"]
+    return load_net(os.path.join(INPUTS, "tau_net.json")), [o["cells"] for o in observations]
+
+
+_TAU_HEADS = ["channel:Categorical", "pmag:Exponential", "theta:Uniform", "phi:Uniform"]
+_PREV_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1e6, -1e6]),
+                         st.floats(max_value=0.0, allow_infinity=False),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(obs=st.integers(0, 4), calls=st.lists(st.tuples(st.sampled_from(_TAU_HEADS), _PREV_VALUES),
+                                             min_size=1, max_size=12))
+def test_a_trained_proposal_is_the_proposal_of_raw_from_encoding_bit_for_bit(obs, calls):
+    # proposal_for writes each previous value into a trunk row cached per head; in any order
+    # of heads and values it must build what a fresh row through raw_from_encoding gives
+    net, cells = _tau_net_and_cells()
+    assert sorted(net.arch.heads) == sorted(_TAU_HEADS)
+    source = TrainedProposal(net, np.asarray(cells[obs]))
+    h_obs = net.encode_obs(np.asarray(cells[obs]))
+    priors = dict(simzoo.DEFAULT_TAU_CONFIG.priors)
+    for key, prev in calls:
+        site, family = key.split(":")
+        got = source.proposal_for(Address((site,), family, 0), prev, priors[site])
+        raw = net.raw_from_encoding(h_obs, key, prev)
+        want = proposal_from_params(priors[site], raw)
+        a = net.params.arrays  # the forward pass as written before rows were cached
+        x = np.concatenate([h_obs, a[f"embed::{key}"], [prev / (1.0 + abs(prev))]])
+        assert raw.tobytes() == (a[f"head_W::{key}"] @ np.tanh(a["trunk_W"] @ x + a["trunk_b"])
+                                 + a[f"head_b::{key}"]).tobytes()
+        assert type(got) is type(want)
+        assert [v.hex() for v in got.params] == [v.hex() for v in want.params]
 
 
 def test_loss_with_head_frozen_to_prior_equals_prior_nll():

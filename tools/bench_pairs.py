@@ -8,12 +8,13 @@ benchmark/run.py with the same seed (--seed-base + k). The parent runs first
 in even pairs and the change first in odd ones, so a slow stretch of the host
 falls on both sides alike. The file holds every run's end-to-end metrics and,
 per metric, each side's median and quartiles and the number of pairs the
-change won; also the host's core count, the Python, numpy and scipy versions,
-the sha256 of each tree's golden outputs (tests/test_golden.py run as a
-script), each tree's bytecode-cache state before and after its runs
-(rejection-cli setup_s includes compiling src/ when no cache exists), and
-each tree's src/ line count, the newlines of src/simppl/*.py as `wc -l`
-counts them.
+change won; per workload, each side's median and quartiles of the operations
+a run attempted (a memory reading that follows them says so); also the host's
+core count, the Python, numpy and scipy versions, the sha256 of each tree's
+golden outputs (tests/test_golden.py run as a script), each tree's
+bytecode-cache state before and after its runs (rejection-cli setup_s
+includes compiling src/ when no cache exists), and each tree's src/ line
+count, the newlines of src/simppl/*.py as `wc -l` counts them.
 
 The file is rewritten after every run with "complete": false until the last
 run. A failing run stops the tool with exit code 1; the file then keeps the
@@ -41,14 +42,17 @@ class RunFailed(Exception):
     """A benchmark run that exited non-zero: (exit code, its stderr's last lines)."""
 
 
+def quartiles(values):
+    """The values with their median and quartiles."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": list(values), "median": median, "q1": q1, "q3": q3}
+
+
 def summarize(parent, change, better):
     """Per-pair values of one metric on both sides: each side's values,
     median and quartiles, the pairs the change won, and whether the medians
     differ by more than the parent's interquartile range."""
-    sides = {}
-    for name, values in (("parent", parent), ("change", change)):
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        sides[name] = {"values": list(values), "median": median, "q1": q1, "q3": q3}
+    sides = {"parent": quartiles(parent), "change": quartiles(change)}
     sign = 1 if better == "higher" else -1
     p, c = sides["parent"], sides["change"]
     return {
@@ -156,6 +160,9 @@ def main(argv=None):
             name: summarize([r["metrics"][name]["value"] for r in runs["parent"]],
                             [r["metrics"][name]["value"] for r in runs["change"]], direction)
             for name, direction in better.items()}
+        # the operations each run held: tau-infer's peak_rss_mb follows them, not the code
+        report["workloads"][workload]["attempted"] = {
+            side: quartiles([r["attempted"] for r in side_runs]) for side, side_runs in runs.items()}
     for side, tree in trees.items():
         report["bytecode_cache"][side]["after"] = bytecode_cache(tree, run_env())
     report["complete"] = True
